@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import CrossAttention
-from .qlt import QltError, load_checkpoint
 from .rng import Rng
 from .tensor import Param, Tensor, add, linear, mha, mul
 
@@ -117,35 +116,3 @@ def dual_branch_attention(block: DualBranchAttention, z: Tensor,
         return text
     return add(text, mul(ip, float(lam)))
 
-
-def load_pretrained_ip_weights(checkpoint_dir, blocks: dict, seed: int = 7):
-    """Load adapter-branch weights from a prior checkpoint, else leave the
-    deterministic seed-derived init in place.
-
-    `blocks` maps site name -> DualBranchAttention. Returns the init
-    source, "checkpoint" or "random(seed)".
-    """
-    if checkpoint_dir is None:
-        rng = Rng(seed)
-        for site in sorted(blocks):
-            blk = blocks[site]
-            for param in (blk.w_kf, blk.w_vf):
-                sub = param.name.rsplit(".", 1)[-1]
-                param.tensor.data = rng.spawn(f"{site}.{sub}").normal(
-                    param.data.shape, std=1.0 / np.sqrt(param.data.shape[0])
-                ).astype(param.data.dtype)
-            blk.w_of.tensor.data = np.zeros_like(blk.w_of.data)
-        return f"random({seed})"
-    arrays, manifest = load_checkpoint(checkpoint_dir)
-    section = manifest.get("ip_attention", {})
-    for site, blk in blocks.items():
-        for param in blk.ip_params():
-            key = section.get(site, {}).get(param.name.rsplit(".", 1)[-1], param.name)
-            if key not in arrays:
-                raise QltError(f"checkpoint missing ip weight {key}")
-            arr = arrays[key]
-            if arr.shape != param.data.shape:
-                raise QltError(f"ip weight {key}: checkpoint shape {arr.shape} "
-                               f"!= expected {param.data.shape}")
-            param.tensor.data = arr.astype(param.data.dtype)
-    return "checkpoint"

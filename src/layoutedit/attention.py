@@ -30,13 +30,11 @@ class CrossAttention:
     def params(self):
         return [self.w_q, self.w_k, self.w_v, self.w_o]
 
-    def __call__(self, f1: Tensor, f2: Tensor, mask=None,
-                 weights_out: dict | None = None) -> Tensor:
+    def __call__(self, f1: Tensor, f2: Tensor) -> Tensor:
         q = linear(f1, self.w_q.tensor)
         k = linear(f2, self.w_k.tensor)
         v = linear(f2, self.w_v.tensor)
-        out = mha(q, k, v, self.heads, mask=mask, weights_out=weights_out)
-        return linear(out, self.w_o.tensor)
+        return linear(mha(q, k, v, self.heads), self.w_o.tensor)
 
 
 class SelfAttention(CrossAttention):
@@ -45,11 +43,11 @@ class SelfAttention(CrossAttention):
     def __init__(self, name: str, rng: Rng, d_in: int, d_attn: int, heads: int):
         super().__init__(name, rng, d_in, d_in, d_attn, d_in, heads)
 
-    def __call__(self, x: Tensor, mask=None, weights_out=None) -> Tensor:
-        return super().__call__(x, x, mask=mask, weights_out=weights_out)
+    def __call__(self, x: Tensor) -> Tensor:
+        return super().__call__(x, x)
 
 
-class AttentionPool:
+class AttentionPool(CrossAttention):
     """CLIP-style attention pooling over a token sequence.
 
     The mean token is prepended, learned positional embeddings added,
@@ -58,23 +56,15 @@ class AttentionPool:
 
     def __init__(self, name: str, rng: Rng, n_tokens: int, d_in: int,
                  d_out: int, heads: int):
-        self.heads = heads
         self.pos = Param(f"{name}.pos",
                          rng.spawn(f"{name}.pos").normal((n_tokens + 1, d_in),
                                                          std=1.0 / np.sqrt(d_in)))
-        self.w_q = _proj(f"{name}.w_q", rng, d_in, d_in)
-        self.w_k = _proj(f"{name}.w_k", rng, d_in, d_in)
-        self.w_v = _proj(f"{name}.w_v", rng, d_in, d_in)
-        self.w_o = _proj(f"{name}.w_o", rng, d_in, d_out)
+        super().__init__(name, rng, d_in, d_in, d_in, d_out, heads)
 
     def params(self):
-        return [self.pos, self.w_q, self.w_k, self.w_v, self.w_o]
+        return [self.pos] + super().params()
 
     def __call__(self, x: Tensor) -> Tensor:
         mean = x.mean(axis=0, keepdims=True)
         tokens = concat([mean, x], axis=0) + self.pos.tensor
-        q = linear(tokens[0:1], self.w_q.tensor)
-        k = linear(tokens, self.w_k.tensor)
-        v = linear(tokens, self.w_v.tensor)
-        out = mha(q, k, v, self.heads)
-        return linear(out, self.w_o.tensor).reshape(-1)
+        return super().__call__(tokens[0:1], tokens).reshape(-1)

@@ -5,20 +5,21 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, InjectionConfig, RunConfig
+from .config import INJECTION_SITES, ConfigError, RunConfig
 from .data import DatasetError, generate_dataset, write_ppm
 from .diffusion import BLOCK_NAMES
 from .encoders import VocabError
 from .gradcheck import REL_TOL, check_param_group, projection_head
 from .layout import Box4, LayoutError, load_layout_json
 from .metrics import DetectionSet, load_detection_json, report
-from .qlt import QltError, load_qlt, save_qlt
+from .qlt import QltError, save_qlt
 from .rng import Rng
 from .tensor import NumericsError, Tensor
 
@@ -37,7 +38,7 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--dropout-rate", type=float, dest="dropout_rate")
     p.add_argument("--heads", type=int)
     p.add_argument("--max-n", type=int, dest="max_n")
-    p.add_argument("--injection", choices=["down2", "down4", "mid", "all"])
+    p.add_argument("--injection", choices=INJECTION_SITES)
     p.add_argument("--ip-scale", type=float, dest="ip_scale")
     p.add_argument("--dtype", choices=["float32", "float64"])
     p.add_argument("--data-dir", dest="data_dir")
@@ -47,15 +48,12 @@ def _add_config_flags(p: argparse.ArgumentParser):
 
 def build_config(args) -> RunConfig:
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    for name in ("seed", "lam", "cfg_w", "sample_steps", "train_steps", "lr",
-                 "dropout_rate", "heads", "max_n", "dtype", "data_dir",
-                 "checkpoint_dir", "report_dir"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
+    for field in dataclasses.fields(RunConfig):
+        val = getattr(args, field.name, None)
+        if val is not None and field.name != "injection":
+            setattr(cfg, field.name, val)
     if getattr(args, "injection", None) is not None:
-        cfg.injection = InjectionConfig(position=args.injection,
-                                        ip_scale=cfg.injection.ip_scale)
+        cfg.injection.position = args.injection
     if getattr(args, "ip_scale", None) is not None:
         cfg.injection.ip_scale = args.ip_scale
     return cfg.apply_env().validate()
@@ -149,7 +147,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from . import tensor as T
     from .pipeline import Pipeline
 
     cfg = RunConfig(seed=args.seed if args.seed is not None else 0,

@@ -13,12 +13,31 @@ class ConfigError(ValueError):
     """Raised on invalid configuration values."""
 
 
+# Accepted value types per field annotation; bool is not a number here.
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _check_types(obj, prefix: str = ""):
+    for f in dataclasses.fields(obj):
+        want = _FIELD_TYPES.get(f.type)
+        val = getattr(obj, f.name)
+        if want and (isinstance(val, bool) or not isinstance(val, want)):
+            raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {val!r}")
+
+
+def _reject_unknown(cls, d: dict, where: str):
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+
+
 @dataclass
 class InjectionConfig:
     position: str = "down4"
     ip_scale: float = 1.0
 
     def validate(self):
+        _check_types(self, "injection.")
         if self.position not in INJECTION_SITES:
             raise ConfigError(f"unknown injection position {self.position!r}; "
                               f"valid: {', '.join(INJECTION_SITES)}")
@@ -55,6 +74,7 @@ class RunConfig:
     report_dir: str = "reports"
 
     def validate(self):
+        _check_types(self)
         for name in ("d_i", "d_t", "d_l", "d_model", "heads", "max_n",
                      "image_size", "patch_size", "sample_steps",
                      "train_steps", "t_train"):
@@ -83,14 +103,11 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         d = dict(d)
         inj = d.pop("injection", {})
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**d)
-        if isinstance(inj, dict):
-            cfg.injection = InjectionConfig(**inj)
-        return cfg
+        _reject_unknown(cls, d, "config")
+        if not isinstance(inj, dict):
+            raise ConfigError(f"injection must be an object, got {inj!r}")
+        _reject_unknown(InjectionConfig, inj, "injection")
+        return cls(**d, injection=InjectionConfig(**inj))
 
     def save(self, path):
         with open(path, "w") as f:

@@ -7,6 +7,7 @@ layout JSON and a count-word caption like "three circles".
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -79,13 +80,20 @@ def write_ppm(path, image: np.ndarray):
 
 
 def read_ppm(path) -> np.ndarray:
+    """Binary P6 with maxval 255; one whitespace byte ends the header."""
     with open(path, "rb") as f:
         blob = f.read()
-    parts = blob.split(maxsplit=4)
-    if parts[0] != b"P6":
+    header = re.match(rb"P6\s+(\d+)\s+(\d+)\s+(\d+)\s", blob)
+    if header is None:
         raise DatasetError(f"{path}: not a binary PPM")
-    w, h, maxval = int(parts[1]), int(parts[2]), int(parts[3])
-    pix = np.frombuffer(parts[4][:w * h * 3], dtype=np.uint8)
+    w, h, maxval = (int(g) for g in header.groups())
+    if maxval != 255:
+        raise DatasetError(f"{path}: maxval is {maxval}, only 255 is supported")
+    payload = blob[header.end():header.end() + w * h * 3]
+    if len(payload) != w * h * 3:
+        raise DatasetError(f"{path}: payload is {len(payload)} bytes, "
+                           f"expected {w * h * 3} for {w}x{h}")
+    pix = np.frombuffer(payload, dtype=np.uint8)
     return pix.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / maxval
 
 

@@ -17,7 +17,7 @@ from .adapter import ConditionBundle, DualBranchAttention, dual_branch_attention
 from .attention import SelfAttention, _proj
 from .config import RunConfig
 from .rng import Rng
-from .tensor import (NumericsError, Param, Tensor, add, linear, mul, silu)
+from .tensor import NumericsError, Param, Tensor, add, linear, silu
 
 BLOCK_NAMES = ("down1", "down2", "down3", "down4", "mid",
                "up1", "up2", "up3", "up4")
@@ -41,15 +41,10 @@ class NoiseSchedule:
         return float(self.alpha_bars[t])
 
 
-def forward_noise(x0, t: int, eps, schedule: NoiseSchedule):
+def forward_noise(x0: np.ndarray, t: int, eps: np.ndarray,
+                  schedule: NoiseSchedule) -> np.ndarray:
     """Closed-form q-sample: sqrt(a_bar)*x0 + sqrt(1-a_bar)*eps."""
     ab = schedule.alpha_bar(t)
-    if isinstance(x0, Tensor) or isinstance(eps, Tensor):
-        x0 = x0 if isinstance(x0, Tensor) else Tensor(x0)
-        eps = eps if isinstance(eps, Tensor) else Tensor(eps)
-        if x0.shape != eps.shape:
-            raise ValueError(f"eps shape {eps.shape} != x0 shape {x0.shape}")
-        return add(mul(x0, np.sqrt(ab)), mul(eps, np.sqrt(1.0 - ab)))
     if x0.shape != eps.shape:
         raise ValueError(f"eps shape {eps.shape} != x0 shape {x0.shape}")
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
@@ -180,16 +175,10 @@ class DenoiserState:
             p.set_dtype(dtype)
 
     # ------------------------------------------------------------------
-    def forward(self, z, t: int, bundle: ConditionBundle | None,
+    def forward(self, z, t: int, bundle: ConditionBundle,
                 weights_out: dict | None = None) -> Tensor:
-        """Predict noise for latent tokens z at timestep t.
-
-        bundle=None is the fully unconditional pass (empty adapter token
-        and zeroed text tokens).
-        """
+        """Predict noise for latent tokens z at timestep t."""
         z = z if isinstance(z, Tensor) else Tensor(z)
-        if bundle is None:
-            bundle = self.null_bundle()
         dt = self.w_in.data.dtype
         temb = silu(linear(
             Tensor(timestep_embedding(t, self.config.d_model)[None, :].astype(dt)),
@@ -203,13 +192,6 @@ class DenoiserState:
                 wo = weights_out[name]
             x = self.blocks[name].forward(x, bundle, lam, weights_out=wo)
         return linear(x, self.w_out.tensor, self.b_out.tensor)
-
-    def null_bundle(self) -> ConditionBundle:
-        dt = self.w_in.data.dtype
-        return ConditionBundle(
-            f_t=Tensor(np.zeros((1, self.config.d_t), dtype=dt)),
-            f=Tensor(np.zeros((1, self.config.d_i), dtype=dt)),
-            lam=self.config.lam)
 
     def drop_image_condition(self, bundle: ConditionBundle) -> ConditionBundle:
         """Replace the adapter token by a zero token (condition dropout)."""

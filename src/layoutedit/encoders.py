@@ -7,7 +7,6 @@ whitespace-token vocabulary. Both stay frozen during adapter training.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,11 +122,3 @@ class TextEncoder:
         rows = linear(Tensor(onehot), self.emb.tensor)
         return TextEncoding(tokens=add(rows, self.pos.tensor[0:n]))
 
-    def save_vocab(self, path):
-        with open(path, "w") as f:
-            json.dump(self.vocab, f, indent=1)
-
-    @staticmethod
-    def load_vocab(path) -> list:
-        with open(path) as f:
-            return json.load(f)

@@ -71,19 +71,6 @@ def check_param_group(fn, param: Param, rng: Rng, max_entries: int = 8,
     return GroupReport(name=param.name, max_rel_err=worst, entries=len(picks))
 
 
-def check_groups(fn_for_param, params, seed: int = 0, max_entries: int = 8,
-                 corrupt_name: str | None = None) -> list:
-    """Run check_param_group over a parameter list; `fn_for_param` maps a
-    Param to the scalar-head closure (usually the same closure)."""
-    rng = Rng(seed).spawn("gradcheck")
-    reports = []
-    for p in params:
-        fn = fn_for_param(p) if callable(fn_for_param) else fn_for_param
-        reports.append(check_param_group(fn, p, rng, max_entries=max_entries,
-                                         corrupt=(p.name == corrupt_name)))
-    return reports
-
-
 def projection_head(rng: Rng, key: str):
     """Return a closure turning a Tensor output into a fixed scalar: the
     sum of the output times a frozen random array."""

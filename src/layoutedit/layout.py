@@ -57,19 +57,6 @@ class LayoutSet:
         return np.array([b.as_tuple() for b in self.boxes], dtype=np.float64)
 
 
-def normalize_boxes(pixel_boxes, width: int, height: int) -> list:
-    """Divide integer pixel boxes by the image extents."""
-    if width <= 0 or height <= 0:
-        raise LayoutError(f"bad image size {width}x{height}")
-    out = []
-    for i, (x0, y0, x1, y1) in enumerate(pixel_boxes):
-        if not (0 <= x0 <= x1 <= width and 0 <= y0 <= y1 <= height):
-            raise LayoutError(f"pixel box {i} out of bounds or inverted: "
-                              f"{(x0, y0, x1, y1)} in {width}x{height}")
-        out.append(Box4(x0 / width, y0 / height, x1 / width, y1 / height))
-    return out
-
-
 def build_layout(boxes, max_n: int) -> LayoutSet:
     """Pack real boxes behind the global box, pad with sentinels."""
     boxes = [b if isinstance(b, Box4) else Box4(*b) for b in boxes]

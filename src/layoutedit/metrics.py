@@ -114,11 +114,13 @@ def load_detection_json(path) -> DetectionSet:
     "ground_truth": [[x0,y0,x1,y1]...]}."""
     with open(path) as f:
         doc = json.load(f)
-    return DetectionSet(
-        detections=[Detection(box=Box4(*d["box"]), score=float(d["score"]))
-                    for d in doc.get("detections", [])],
-        ground_truth=[Box4(*b) for b in doc.get("ground_truth", [])],
-    )
+    detections = [Detection(box=Box4(*d["box"]), score=float(d["score"]))
+                  for d in doc.get("detections", [])]
+    for i, d in enumerate(detections):
+        if not np.isfinite(d.score):
+            raise ValueError(f"{path}: detection {i} score {d.score} is not finite")
+    return DetectionSet(detections=detections,
+                        ground_truth=[Box4(*b) for b in doc.get("ground_truth", [])])
 
 
 def save_detection_json(path, image: str, dets: DetectionSet):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapter import ConditionBundle, FuseParams, fuse, load_pretrained_ip_weights
+from .adapter import ConditionBundle, FuseParams, fuse
 from .cmam import CmamParams, cmam_forward
 from .config import RunConfig
 from .data import caption_for, read_ppm
@@ -19,7 +19,7 @@ from .diffusion import (DenoiserState, image_to_latent, latent_to_image,
 from .encoders import ImageEncoder, TextEncoder
 from .ilfm import IlfmParams, ilfm_forward
 from .layout import LayoutEmbedder, build_layout, load_layout_json
-from .qlt import load_checkpoint, load_qlt, save_checkpoint
+from .qlt import QltError, load_checkpoint, load_qlt, save_checkpoint
 from .rng import Rng
 from .tensor import Tensor, adamw_step
 
@@ -92,32 +92,46 @@ class Pipeline:
     # ------------------------------------------------------------------
     def save(self, directory):
         named = {n: p.data for n, p in self.named_params().items()}
-        ip_section = {}
-        for site in self.denoiser.active_sites():
-            blk = self.denoiser.blocks[site].cross
-            ip_section[site] = {p.name.rsplit(".", 1)[-1]: p.name
-                                for p in blk.ip_params()}
-        save_checkpoint(directory, named,
-                        extra={"ip_attention": ip_section,
-                               "config": self.config.to_dict()})
+        save_checkpoint(directory, named, extra={"config": self.config.to_dict()})
 
     def load(self, directory):
-        arrays, manifest = load_checkpoint(directory)
-        params = self.named_params()
-        for name, p in params.items():
-            if name not in arrays:
-                raise ValueError(f"checkpoint missing parameter {name}")
-            arr = arrays[name]
-            if arr.shape != p.data.shape:
-                raise ValueError(f"parameter {name}: checkpoint shape "
-                                 f"{arr.shape} != expected {p.data.shape}")
-            p.tensor.data = arr.astype(p.data.dtype)
-        return manifest
+        """Copy every parameter from a checkpoint; returns its manifest."""
+        return self._copy_from(directory, self.named_params().values())
 
     def init_ip_weights(self, checkpoint_dir=None, seed: int = 7) -> str:
-        blocks = {site: self.denoiser.blocks[site].cross
-                  for site in self.denoiser.active_sites()}
-        return load_pretrained_ip_weights(checkpoint_dir, blocks, seed=seed)
+        """Initialize the adapter-branch weights at the active sites.
+
+        From a prior checkpoint when one is given, else from the seed:
+        random key/value projections and a zero output projection.
+        Returns the init source, "checkpoint" or "random(seed)".
+        """
+        if checkpoint_dir is not None:
+            self._copy_from(checkpoint_dir, self.denoiser.ip_params())
+            return "checkpoint"
+        rng = Rng(seed)
+        for site in self.denoiser.active_sites():
+            blk = self.denoiser.blocks[site].cross
+            for param in (blk.w_kf, blk.w_vf):
+                sub = param.name.rsplit(".", 1)[-1]
+                param.tensor.data = rng.spawn(f"{site}.{sub}").normal(
+                    param.data.shape, std=1.0 / np.sqrt(param.data.shape[0])
+                ).astype(param.data.dtype)
+            blk.w_of.tensor.data = np.zeros_like(blk.w_of.data)
+        return f"random({seed})"
+
+    @staticmethod
+    def _copy_from(directory, params) -> dict:
+        """Copy checkpoint arrays into `params` by name, checking shapes."""
+        arrays, manifest = load_checkpoint(directory)
+        for p in params:
+            if p.name not in arrays:
+                raise QltError(f"{directory}: checkpoint missing parameter {p.name}")
+            arr = arrays[p.name]
+            if arr.shape != p.data.shape:
+                raise QltError(f"{directory}: parameter {p.name}: checkpoint shape "
+                               f"{arr.shape} != expected {p.data.shape}")
+            p.tensor.data = arr.astype(p.data.dtype)
+        return manifest
 
     # ------------------------------------------------------------------
     def load_scene(self, data_dir, name: str):

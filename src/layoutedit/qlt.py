@@ -35,7 +35,12 @@ def load_qlt(path) -> np.ndarray:
         blob = f.read()
     if blob[:4] != MAGIC:
         raise QltError(f"{path}: bad magic {blob[:4]!r}")
+    if len(blob) < 8:
+        raise QltError(f"{path}: file of {len(blob)} bytes is shorter than its header")
     (rank,) = struct.unpack_from("<I", blob, 4)
+    if len(blob) < 8 + 4 * rank:
+        raise QltError(f"{path}: header of rank {rank} is longer than the "
+                       f"{len(blob)}-byte file")
     shape = struct.unpack_from(f"<{rank}I", blob, 8)
     payload = blob[8 + 4 * rank:]
     n = int(np.prod(shape)) if rank else 1
@@ -49,7 +54,7 @@ def save_checkpoint(directory, named_arrays: dict, extra: dict | None = None):
     """Write named arrays as QLT files plus a manifest.
 
     `extra` entries are copied verbatim into the manifest (e.g. the
-    "ip_attention" section naming per-site weight tensors).
+    run config).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

@@ -296,6 +296,7 @@ def smoke_run(tmp_path_factory):
                            ckpt_dir=ckpt_dir)
 
 
+@pytest.mark.slow
 def test_criterion_5_training_smoke(smoke_run):
     losses = smoke_run.losses
     assert len(losses) == 2100
@@ -348,6 +349,7 @@ BOXES_6 = [(0.05, 0.05, 0.25, 0.25), (0.4, 0.05, 0.6, 0.25),
            (0.4, 0.55, 0.6, 0.75), (0.75, 0.55, 0.95, 0.75)]
 
 
+@pytest.mark.slow
 def test_criterion_6_conditioning_sensitivity(smoke_run):
     img = load_qlt(smoke_run.data_dir / "scene_003.qlt")
     out2 = smoke_run.pipe.edit(img, BOXES_2, "two circles", "two circles")

@@ -3,9 +3,7 @@ import pytest
 
 from conftest import assert_grad_matches
 from layoutedit.adapter import (ConditionBundle, DualBranchAttention,
-                                FuseParams, dual_branch_attention, fuse,
-                                load_pretrained_ip_weights)
-from layoutedit.qlt import QltError, save_checkpoint
+                                FuseParams, dual_branch_attention, fuse)
 from layoutedit.rng import Rng
 from layoutedit.tensor import Tensor
 
@@ -114,47 +112,3 @@ class TestFuse:
                    Tensor(Rng(15).normal((D_I,))))
         np.testing.assert_array_equal(out.data[0], i_cls)
 
-
-class TestLoadIpWeights:
-    def make_blocks(self):
-        return {"down4": DualBranchAttention("down4", D_Z, D_T, D_I, HEADS,
-                                             Rng(20))}
-
-    def test_none_gives_seeded_random(self):
-        a = self.make_blocks()
-        b = self.make_blocks()
-        assert load_pretrained_ip_weights(None, a, seed=7) == "random(7)"
-        load_pretrained_ip_weights(None, b, seed=7)
-        np.testing.assert_array_equal(a["down4"].w_kf.data, b["down4"].w_kf.data)
-        np.testing.assert_array_equal(a["down4"].w_of.data, 0.0)
-        assert np.abs(a["down4"].w_vf.data).sum() > 0
-
-    def test_checkpoint_roundtrip(self, tmp_path):
-        blocks = self.make_blocks()
-        load_pretrained_ip_weights(None, blocks, seed=3)
-        blk = blocks["down4"]
-        named = {p.name: p.data.astype(np.float32) for p in blk.ip_params()}
-        section = {"down4": {p.name.rsplit(".", 1)[-1]: p.name
-                             for p in blk.ip_params()}}
-        save_checkpoint(tmp_path / "ckpt", named,
-                        extra={"ip_attention": section})
-        fresh = self.make_blocks()
-        src = load_pretrained_ip_weights(tmp_path / "ckpt", fresh)
-        assert src == "checkpoint"
-        for name in ("w_kf", "w_vf", "w_of"):
-            np.testing.assert_array_equal(
-                getattr(fresh["down4"], name).data,
-                named[f"down4.{name}"].astype(fresh["down4"].w_kf.data.dtype))
-
-    def test_missing_weight(self, tmp_path):
-        save_checkpoint(tmp_path / "ckpt", {}, extra={"ip_attention": {}})
-        with pytest.raises(QltError, match="missing"):
-            load_pretrained_ip_weights(tmp_path / "ckpt", self.make_blocks())
-
-    def test_shape_mismatch_names_weight(self, tmp_path):
-        blocks = self.make_blocks()
-        named = {p.name: np.zeros((2, 2), dtype=np.float32)
-                 for p in blocks["down4"].ip_params()}
-        save_checkpoint(tmp_path / "ckpt", named, extra={"ip_attention": {}})
-        with pytest.raises(QltError, match="down4.w_kf"):
-            load_pretrained_ip_weights(tmp_path / "ckpt", self.make_blocks())

@@ -53,6 +53,14 @@ class TestSynth:
         assert (tmp_path / "data" / "scene_000.qlt").read_bytes() != base
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    cfg = run_synth(root)
+    assert main(["train", "--config", cfg]) == 0
+    return root, cfg
+
+
 class TestTrainAndEdit:
     def test_train_then_edit(self, tmp_path, capsys):
         cfg = run_synth(tmp_path)
@@ -72,6 +80,22 @@ class TestTrainAndEdit:
         img = load_qlt(out_base.with_suffix(".qlt"))
         assert img.shape == (3, 16, 16)
         assert out_base.with_suffix(".ppm").exists()
+
+    @pytest.mark.parametrize("name,blob,field", [
+        ("short.qlt", b"QLT1", "header"),
+        ("short.ppm", b"P6\n16 16\n255\n" + bytes(10), "payload"),
+        ("deep.ppm", b"P6\n16 16\n65535\n" + bytes(16 * 16 * 6), "maxval"),
+    ])
+    def test_edit_bad_image_names_file(self, trained, tmp_path, capsys,
+                                       name, blob, field):
+        root, cfg = trained
+        (tmp_path / name).write_bytes(blob)
+        rc = main(["edit", "--config", cfg, "--image", str(tmp_path / name),
+                   "--layout", str(root / "data" / "scene_000.json"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert name in err and field in err
 
     def test_edit_without_checkpoint_fails(self, tmp_path, capsys):
         cfg = run_synth(tmp_path)
@@ -126,6 +150,16 @@ class TestEval:
                    "--gt-dir", str(tmp_path / "gt")])
         assert rc == 1
         assert "b.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf")])
+    def test_non_finite_score_rejected(self, tmp_path, capsys, score):
+        self.write_gt(tmp_path / "gt", "a", [(0.1, 0.1, 0.4, 0.4)])
+        self.write_pred(tmp_path / "pred", "a", [(0.1, 0.1, 0.4, 0.4)], [score])
+        rc = main(["eval", "--pred-dir", str(tmp_path / "pred"),
+                   "--gt-dir", str(tmp_path / "gt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "a.json" in err and "score" in err
 
     def test_empty_gt_dir_rejected(self, tmp_path):
         (tmp_path / "gt").mkdir()

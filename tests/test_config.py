@@ -52,6 +52,26 @@ def test_unknown_key_rejected(tmp_path):
         RunConfig.from_dict({"bogus": 1})
 
 
+@pytest.mark.parametrize("doc,field", [
+    ({"heads": "8"}, "heads"), ({"heads": True}, "heads"),
+    ({"lam": "0.8"}, "lam"), ({"dtype": 32}, "dtype"),
+    ({"injection": {"ip_scale": "1"}}, "injection.ip_scale"),
+])
+def test_wrong_type_names_field(doc, field):
+    with pytest.raises(ConfigError, match=field):
+        RunConfig.from_dict(doc).validate()
+
+
+def test_non_object_injection_rejected():
+    with pytest.raises(ConfigError, match="injection"):
+        RunConfig.from_dict({"injection": "mid"})
+
+
+def test_unknown_injection_key_rejected():
+    with pytest.raises(ConfigError, match="site"):
+        RunConfig.from_dict({"injection": {"site": "mid"}})
+
+
 def test_ql_seed_env_override(monkeypatch):
     monkeypatch.setenv("QL_SEED", "41")
     assert RunConfig(seed=3).apply_env().seed == 41

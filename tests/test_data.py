@@ -77,6 +77,12 @@ class TestPpm:
         back = read_ppm(tmp_path / "a.ppm")
         np.testing.assert_allclose(back, img, atol=0.5 / 255 + 1e-12)
 
+    def test_leading_whitespace_pixel_survives(self, tmp_path):
+        img = np.full((3, 2, 2), 32 / 255)
+        img[0, 0, 0] = 10 / 255
+        write_ppm(tmp_path / "a.ppm", img)
+        np.testing.assert_allclose(read_ppm(tmp_path / "a.ppm"), img, atol=1e-12)
+
     def test_bad_magic(self, tmp_path):
         (tmp_path / "x.ppm").write_bytes(b"P3\n1 1\n255\n000")
         with pytest.raises(DatasetError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_grad_matches
-from layoutedit.encoders import (DEFAULT_VOCAB, EMPTY_TOKEN, ImageEncoder,
+from layoutedit.encoders import (EMPTY_TOKEN, ImageEncoder,
                                  TextEncoder, VocabError)
 from layoutedit.rng import Rng
 from layoutedit.tensor import Tensor
@@ -70,8 +70,3 @@ class TestTextEncoder:
         enc = TextEncoder(d_t=8, rng=Rng(0))
         with pytest.raises(VocabError):
             enc.encode([999])
-
-    def test_vocab_roundtrip(self, tmp_path):
-        enc = TextEncoder(d_t=8, rng=Rng(0))
-        enc.save_vocab(tmp_path / "vocab.json")
-        assert TextEncoder.load_vocab(tmp_path / "vocab.json") == DEFAULT_VOCAB

@@ -3,31 +3,10 @@ import pytest
 
 from conftest import assert_grad_matches
 from layoutedit.layout import (Box4, LayoutEmbedder, LayoutError, build_layout,
-                               load_layout_json, normalize_boxes, patch_grid,
+                               load_layout_json, patch_grid,
                                save_layout_json)
 from layoutedit.rng import Rng
 from layoutedit.tensor import Tensor
-
-
-class TestNormalizeBoxes:
-    def test_half_frame(self):
-        out = normalize_boxes([(0, 0, 256, 256)], 512, 512)
-        assert out[0].as_tuple() == (0.0, 0.0, 0.5, 0.5)
-
-    def test_full_frame(self):
-        out = normalize_boxes([(0, 0, 512, 512)], 512, 512)
-        assert out[0].as_tuple() == (0.0, 0.0, 1.0, 1.0)
-
-    def test_empty(self):
-        assert normalize_boxes([], 100, 100) == []
-
-    def test_out_of_bounds_names_index(self):
-        with pytest.raises(LayoutError, match="box 1"):
-            normalize_boxes([(0, 0, 10, 10), (0, 0, 200, 10)], 100, 100)
-
-    def test_inverted_box(self):
-        with pytest.raises(LayoutError):
-            normalize_boxes([(50, 0, 10, 10)], 100, 100)
 
 
 class TestBuildLayout:

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from layoutedit.config import RunConfig
 from layoutedit.data import generate_dataset
 from layoutedit.pipeline import Pipeline, load_image
+from layoutedit.qlt import QltError, save_checkpoint
 from layoutedit.rng import Rng
 
 
@@ -31,6 +34,20 @@ def test_named_params_unique_and_typed(pipe):
     for p in params.values():
         assert p.data.dtype == np.float32
 
+
+
+# SHA-256 over the sorted parameter names and float32 bytes of a default
+# Pipeline: renaming any RNG stream or changing any init moves it.
+DEFAULT_PARAM_DIGEST = ("20f012162b24ad2dab939c41387f134f"
+                        "56ca75c6164eaab2208e97a692f1ff9e")
+
+
+def test_default_param_init_is_pinned():
+    h = hashlib.sha256()
+    for name, p in sorted(Pipeline(RunConfig()).named_params().items()):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(p.data, dtype=np.float32).tobytes())
+    assert h.hexdigest() == DEFAULT_PARAM_DIGEST
 
 def test_only_adapter_branch_trainable(pipe):
     trainable = [p.name for p in pipe.all_params() if p.tensor.requires_grad]
@@ -90,6 +107,49 @@ def test_init_ip_weights_deterministic(tmp_path):
         a.denoiser.blocks["down4"].cross.w_kf.data,
         b.denoiser.blocks["down4"].cross.w_kf.data)
 
+
+
+class TestInitIpWeights:
+    @staticmethod
+    def cross(pipe):
+        return pipe.denoiser.blocks["down4"].cross
+
+    def test_none_gives_seeded_random(self, tmp_path):
+        a = Pipeline(small_config(tmp_path))
+        b = Pipeline(small_config(tmp_path))
+        assert a.init_ip_weights(None, seed=7) == "random(7)"
+        b.init_ip_weights(None, seed=7)
+        np.testing.assert_array_equal(self.cross(a).w_kf.data,
+                                      self.cross(b).w_kf.data)
+        np.testing.assert_array_equal(self.cross(a).w_of.data, 0.0)
+        assert np.abs(self.cross(a).w_vf.data).sum() > 0
+
+    def test_checkpoint_roundtrip(self, tmp_path):
+        pipe = Pipeline(small_config(tmp_path))
+        pipe.init_ip_weights(None, seed=3)
+        named = {p.name: p.data.astype(np.float32)
+                 for p in self.cross(pipe).ip_params()}
+        save_checkpoint(tmp_path / "ip", named)
+        fresh = Pipeline(small_config(tmp_path))
+        assert fresh.init_ip_weights(tmp_path / "ip") == "checkpoint"
+        blk = self.cross(fresh)
+        for name in ("w_kf", "w_vf", "w_of"):
+            np.testing.assert_array_equal(
+                getattr(blk, name).data,
+                named[f"den.down4.cross.{name}"].astype(blk.w_kf.data.dtype))
+
+    def test_missing_weight(self, tmp_path):
+        save_checkpoint(tmp_path / "ip", {})
+        with pytest.raises(QltError, match="missing"):
+            Pipeline(small_config(tmp_path)).init_ip_weights(tmp_path / "ip")
+
+    def test_shape_mismatch_names_weight(self, tmp_path):
+        pipe = Pipeline(small_config(tmp_path))
+        named = {p.name: np.zeros((2, 2), dtype=np.float32)
+                 for p in self.cross(pipe).ip_params()}
+        save_checkpoint(tmp_path / "ip", named)
+        with pytest.raises(QltError, match="den.down4.cross.w_kf"):
+            pipe.init_ip_weights(tmp_path / "ip")
 
 def test_train_logs_and_updates_only_adapter(tmp_path):
     cfg = small_config(tmp_path)

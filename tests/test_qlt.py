@@ -30,6 +30,13 @@ def test_bad_magic(tmp_path):
         load_qlt(tmp_path / "bad.qlt")
 
 
+@pytest.mark.parametrize("blob", [b"QLT1", b"QLT1\x02\x00\x00\x00\x04\x00"])
+def test_truncated_header_names_file(tmp_path, blob):
+    (tmp_path / "h.qlt").write_bytes(blob)
+    with pytest.raises(QltError, match="h.qlt.*header"):
+        load_qlt(tmp_path / "h.qlt")
+
+
 def test_truncated_payload(tmp_path):
     save_qlt(tmp_path / "a.qlt", np.zeros(4, dtype=np.float32))
     blob = (tmp_path / "a.qlt").read_bytes()
