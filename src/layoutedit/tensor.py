@@ -378,49 +378,68 @@ def linear(x, w, b=None) -> Tensor:
 
 # ----------------------------------------------------------------------
 # multi-head attention kernel
-def split_heads(x: Tensor, heads: int) -> Tensor:
-    """[n, d] -> [heads, n, d/heads]."""
-    n, d = x.shape
-    if d % heads != 0:
-        raise ShapeError(f"channel extent {d} not divisible by {heads} heads")
-    return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """[heads, n, dh] -> [n, heads*dh]."""
-    h, n, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * dh)
-
-
 def mha(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
         weights_out: dict | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention.
+    """Multi-head scaled dot-product attention as one tape node.
 
     q: [n_q, d_q], k: [n_k, d_q], v: [n_k, d_v]. `mask` is an optional
     boolean [n_k]; masked keys get exactly zero attention weight. When
     `weights_out` is given, the per-head weight matrices [heads, n_q, n_k]
     are stored under key "weights".
+
+    Forward and backward run the numpy ops of the equivalent chain of
+    reshape, transpose, matmul, scale, softmax and matmul nodes in the
+    same order on the same strided head views, so outputs and gradients
+    are bit-equal to that chain. The heads stay views: contiguous copies
+    change float32 results when n_q or n_k is 1.
     """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+        raise ShapeError(f"mha needs [n, d] operands, got {q.shape}, {k.shape}, {v.shape}")
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"q/k channel extents disagree: {q.shape} vs {k.shape}")
     if k.shape[0] != v.shape[0]:
         raise ShapeError(f"k/v sequence extents disagree: {k.shape} vs {v.shape}")
-    qh = split_heads(q, heads)
-    kh = split_heads(k, heads)
-    vh = split_heads(v, heads)
+    for d in (q.shape[-1], v.shape[-1]):
+        if d % heads != 0:
+            raise ShapeError(f"channel extent {d} not divisible by {heads} heads")
+    n_q, n_k = q.shape[0], k.shape[0]
+    # [n, d] -> [heads, n, d/heads]
+    qh, kh, vh = (x.data.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
+                  for x in (q, k, v))
+    kt = kh.transpose(0, 2, 1)
     scale = 1.0 / float(np.sqrt(q.shape[-1] // heads))
-    logits = matmul(qh, kh.transpose(0, 2, 1)) * scale
+    # the logits buffer becomes the attention weights in place
+    attn = _check(qh @ kt, "mha")
+    attn *= scale
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (k.shape[0],):
+        if mask.shape != (n_k,):
             raise ShapeError(f"mask length {mask.shape} does not match "
-                             f"key count {k.shape[0]}")
-        attn = masked_softmax(logits, mask[None, None, :], axis=-1)
-    else:
-        attn = softmax(logits, axis=-1)
+                             f"key count {n_k}")
+        if not mask.any():
+            raise ShapeError("mha: every key is masked")
+        attn = attn + np.where(mask, 0.0, -np.inf)
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
     if weights_out is not None:
-        weights_out["weights"] = attn.data.copy()
-    return merge_heads(matmul(attn, vh))
+        weights_out["weights"] = attn.copy()
+    out = (attn @ vh).transpose(1, 0, 2).reshape(n_q, -1)
+
+    def bw(g):
+        gh = g.reshape(n_q, heads, -1).transpose(1, 0, 2)
+        da = gh @ np.swapaxes(vh, -1, -2)
+        dv = np.swapaxes(attn, -1, -2) @ gh
+        dl = (da - (da * attn).sum(axis=-1, keepdims=True)) * attn
+        dl *= scale
+        dq = dl @ kh
+        dk = np.swapaxes(qh, -1, -2) @ dl
+        return (dq.transpose(1, 0, 2).reshape(q.shape),
+                dk.transpose(2, 0, 1).reshape(k.shape),
+                dv.transpose(1, 0, 2).reshape(v.shape))
+
+    return _node(out, (q, k, v), bw, "mha")
 
 
 # ----------------------------------------------------------------------

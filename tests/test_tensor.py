@@ -147,6 +147,81 @@ class TestMha:
                 lambda: (mha(q, k, v, heads=2) * Tensor(r)).sum(), leaf)
 
 
+def reference_mha(q, k, v, heads, mask=None, weights_out=None):
+    """The chain of tape nodes that the fused mha replaces."""
+    def split(x):
+        n, d = x.shape
+        return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    logits = matmul(qh, kh.transpose(0, 2, 1)) * (1.0 / float(np.sqrt(q.shape[-1] // heads)))
+    attn = (softmax(logits, axis=-1) if mask is None
+            else masked_softmax(logits, mask[None, None, :], axis=-1))
+    if weights_out is not None:
+        weights_out["weights"] = attn.data.copy()
+    out = matmul(attn, vh)
+    h, n, dh = out.shape
+    return out.transpose(1, 0, 2).reshape(n, h * dh)
+
+
+def assert_bit_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestFusedMha:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("n_q,n_k,d,heads", [(1, 7, 16, 2), (5, 1, 16, 4),
+                                                 (256, 256, 64, 8)])
+    def test_bit_equal_to_unfused_chain(self, dtype, masked, n_q, n_k, d, heads):
+        rng = np.random.default_rng(n_q * 1000 + n_k)
+        arrays = [rng.normal(size=s).astype(dtype) for s in ((n_q, d), (n_k, d), (n_k, d))]
+        r = rng.normal(size=(n_q, d)).astype(dtype)
+        mask = None
+        if masked:
+            mask = rng.uniform(size=n_k) < 0.6
+            mask[rng.integers(n_k)] = True
+        results = []
+        for fn in (mha, reference_mha):
+            q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+            cap = {}
+            out = fn(q, k, v, heads, mask=mask, weights_out=cap)
+            (out * Tensor(r)).sum().backward()
+            results.append((out.data, cap["weights"], q.grad, k.grad, v.grad))
+        for fused, ref in zip(*results):
+            assert_bit_equal(fused, ref)
+
+    def test_one_node_with_qkv_parents(self, np_rng):
+        q, k, v = (Tensor(np_rng.normal(size=(3, 4)), requires_grad=True)
+                   for _ in range(3))
+        out = mha(q, k, v, heads=2)
+        assert len(out._parents) == 3
+        assert all(p is x for p, x in zip(out._parents, (q, k, v)))
+
+
+class TestMhaNonFinite:
+    def test_logit_overflow_to_plus_inf(self):
+        q = Tensor(np.full((2, 4), 1e20, dtype=np.float32))
+        with np.errstate(over="ignore"), pytest.raises(NumericsError):
+            mha(q, q, Tensor(np.ones((2, 4), dtype=np.float32)), heads=2)
+
+    def test_logit_overflow_to_minus_inf_only(self):
+        # softmax maps a -inf logit beside finite ones to a finite zero
+        # weight, so the logits themselves must be checked
+        q = Tensor(np.full((2, 4), 1e20, dtype=np.float32))
+        k = Tensor(np.array([[-1e20] * 4, [1.0] * 4], dtype=np.float32))
+        with np.errstate(over="ignore"), pytest.raises(NumericsError):
+            mha(q, k, Tensor(np.ones((2, 4), dtype=np.float32)), heads=2)
+
+    def test_nan_value(self, np_rng):
+        v = np_rng.normal(size=(3, 4))
+        v[1, 2] = np.nan
+        with pytest.raises(NumericsError):
+            mha(Tensor(np_rng.normal(size=(2, 4))), Tensor(np_rng.normal(size=(3, 4))),
+                Tensor(v), heads=2)
+
+
 class TestAdamW:
     def test_zero_grad_no_change(self):
         p = Param("p", np.ones(3))
