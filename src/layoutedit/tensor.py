@@ -311,7 +311,7 @@ def masked_softmax(x, mask: np.ndarray, axis: int = -1) -> Tensor:
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
     if not mask.any(axis=axis).all():
         raise ShapeError("masked_softmax: a row has no unmasked position")
-    neg = np.where(mask, 0.0, -np.inf)
+    neg = np.where(mask, 0.0, -np.inf).astype(x.dtype)
     shifted = x.data + neg
     shifted = shifted - shifted.max(axis=axis, keepdims=True)
     e = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
@@ -419,7 +419,7 @@ def mha(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
                              f"key count {n_k}")
         if not mask.any():
             raise ShapeError("mha: every key is masked")
-        attn = attn + np.where(mask, 0.0, -np.inf)
+        attn += np.where(mask, 0.0, -np.inf)    # in place: keeps float32 logits float32
     attn -= attn.max(axis=-1, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=-1, keepdims=True)

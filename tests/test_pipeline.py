@@ -3,11 +3,16 @@ import hashlib
 import numpy as np
 import pytest
 
+from layoutedit.adapter import fuse
+from layoutedit.cmam import cmam_forward
 from layoutedit.config import RunConfig
 from layoutedit.data import generate_dataset
+from layoutedit.ilfm import ilfm_forward
+from layoutedit.layout import build_layout
 from layoutedit.pipeline import Pipeline, load_image
 from layoutedit.qlt import QltError, save_checkpoint
 from layoutedit.rng import Rng
+from layoutedit.tensor import Tensor
 
 
 def small_config(tmp_path, **kw):
@@ -48,6 +53,18 @@ def test_default_param_init_is_pinned():
         h.update(name.encode())
         h.update(np.ascontiguousarray(p.data, dtype=np.float32).tobytes())
     assert h.hexdigest() == DEFAULT_PARAM_DIGEST
+
+
+def test_masked_attention_keeps_float32(pipe):
+    # ILFM's masked attention feeds its pool and fuse; none may promote
+    enc = pipe.image_encoder.encode(Tensor(Rng(1).uniform((3, 16, 16)).astype(np.float32)))
+    f_layout = ilfm_forward(pipe.ilfm, enc.patches, enc.grid,
+                            build_layout(BOXES, pipe.config.max_n), pipe.embedder)
+    aux = pipe.text_encoder.encode(pipe.text_encoder.tokenize("two circles"))
+    t_aug, i_aug = cmam_forward(pipe.cmam, aux.tokens, enc.cls)
+    f = fuse(pipe.fuse, i_aug, t_aug, f_layout)
+    assert f_layout.dtype == np.float32 and f.dtype == np.float32
+
 
 def test_only_adapter_branch_trainable(pipe):
     trainable = [p.name for p in pipe.all_params() if p.tensor.requires_grad]
