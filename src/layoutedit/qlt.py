@@ -78,13 +78,32 @@ def load_checkpoint(directory) -> tuple[dict, dict]:
     mpath = directory / "manifest.json"
     if not mpath.exists():
         raise QltError(f"no manifest.json in {directory}")
-    with open(mpath) as f:
-        manifest = json.load(f)
+    try:
+        with open(mpath) as f:
+            manifest = json.load(f)
+    except ValueError as e:     # JSON and text decoding errors
+        raise QltError(f"{mpath}: invalid JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise QltError(f"{mpath}: manifest must be a JSON object")
+    tensors = manifest.get("tensors")
+    if not isinstance(tensors, dict):
+        raise QltError(f"{mpath}: 'tensors' must be an object")
+    root = directory.resolve()
     arrays = {}
-    for name, entry in manifest["tensors"].items():
-        arr = load_qlt(directory / entry["file"])
-        if list(arr.shape) != list(entry["shape"]):
-            raise QltError(f"checkpoint tensor {name}: file shape "
+    for name, entry in tensors.items():
+        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)
+                and isinstance(entry.get("shape"), list)):
+            raise QltError(f"{mpath}: tensor {name}: entry needs a 'file' "
+                           f"string and a 'shape' list")
+        path = (directory / entry["file"]).resolve()
+        if Path(entry["file"]).is_absolute() or root not in path.parents:
+            raise QltError(f"{mpath}: tensor {name}: file {entry['file']!r} "
+                           f"is outside the checkpoint directory")
+        if not path.is_file():
+            raise QltError(f"{mpath}: tensor {name}: no file {entry['file']!r}")
+        arr = load_qlt(path)
+        if list(arr.shape) != entry["shape"]:
+            raise QltError(f"{mpath}: tensor {name}: file shape "
                            f"{list(arr.shape)} != manifest shape {entry['shape']}")
         arrays[name] = arr
     return arrays, manifest

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,24 @@ class TestTrainAndEdit:
         assert rc == 1
         err = capsys.readouterr().err
         assert name in err and field in err
+
+    def test_edit_manifest_outside_directory_names_manifest(self, trained, tmp_path,
+                                                           capsys):
+        root, cfg = trained
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(root / "ckpt", ckpt)
+        mpath = ckpt / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        entry = next(iter(manifest["tensors"].values()))
+        entry["file"] = "../" + entry["file"]
+        mpath.write_text(json.dumps(manifest))
+        rc = main(["edit", "--config", cfg, "--checkpoint-dir", str(ckpt),
+                   "--image", str(root / "data" / "scene_000.ppm"),
+                   "--layout", str(root / "data" / "scene_000.json"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "outside" in err
 
     def test_edit_without_checkpoint_fails(self, tmp_path, capsys):
         cfg = run_synth(tmp_path)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -57,10 +59,40 @@ def test_checkpoint_roundtrip(tmp_path):
 
 def test_checkpoint_shape_mismatch(tmp_path):
     save_checkpoint(tmp_path / "ckpt", {"w": np.zeros((2, 2), dtype=np.float32)})
-    import json
     mpath = tmp_path / "ckpt" / "manifest.json"
     manifest = json.loads(mpath.read_text())
     manifest["tensors"]["w"]["shape"] = [3, 3]
     mpath.write_text(json.dumps(manifest))
     with pytest.raises(QltError, match="w"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("text,what", [
+    ("{not json", "invalid JSON"),
+    ("[1, 2]", "JSON object"),
+    ("{}", "'tensors'"),
+    ('{"tensors": [1]}', "'tensors'"),
+    ('{"tensors": {"w": {"shape": [2]}}}', "'file'"),
+    ('{"tensors": {"w": {"file": "w.qlt"}}}', "'shape'"),
+    ('{"tensors": {"w": "w.qlt"}}', "'file'"),
+    ('{"tensors": {"w": {"file": "../x/w.qlt", "shape": [2]}}}', "outside"),
+    ('{"tensors": {"w": {"file": "", "shape": [2]}}}', "outside"),
+    ('{"tensors": {"w": {"file": "v.qlt", "shape": [2]}}}', "no file"),
+])
+def test_bad_manifest_names_path(tmp_path, text, what):
+    save_checkpoint(tmp_path / "ckpt", {"w": np.zeros(2, dtype=np.float32)})
+    (tmp_path / "x").mkdir()
+    save_qlt(tmp_path / "x" / "w.qlt", np.zeros(2, dtype=np.float32))
+    (tmp_path / "ckpt" / "manifest.json").write_text(text)
+    with pytest.raises(QltError, match="manifest.json") as info:
+        load_checkpoint(tmp_path / "ckpt")
+    assert what in str(info.value)
+
+
+def test_absolute_manifest_file_rejected(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", {"w": np.zeros(2, dtype=np.float32)})
+    target = (tmp_path / "ckpt" / "w.qlt").resolve()
+    manifest = {"tensors": {"w": {"file": str(target), "shape": [2]}}}
+    (tmp_path / "ckpt" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(QltError, match="manifest.json.*outside"):
         load_checkpoint(tmp_path / "ckpt")
