@@ -12,38 +12,45 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import INJECTION_SITES, ConfigError, RunConfig
+from .config import INJECTION_SITES, MODEL_FIELDS, ConfigError, RunConfig
 from .data import DatasetError, generate_dataset, write_ppm
 from .diffusion import BLOCK_NAMES
 from .encoders import VocabError
 from .gradcheck import REL_TOL, check_param_group, projection_head
 from .layout import Box4, LayoutError, load_layout_json
 from .metrics import DetectionSet, load_detection_json, report
-from .qlt import QltError, save_qlt
+from .qlt import QltError, read_manifest, save_qlt
 from .rng import Rng
 from .tensor import NumericsError, Tensor
 
 VALIDATION_ERRORS = (ConfigError, DatasetError, LayoutError, VocabError,
-                     QltError, FileNotFoundError, ValueError, KeyError)
+                     QltError, OSError, ValueError, KeyError)
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lam", type=float, dest="lam")
-    p.add_argument("--cfg-w", type=float, dest="cfg_w")
-    p.add_argument("--steps", type=int, dest="sample_steps")
-    p.add_argument("--train-steps", type=int, dest="train_steps")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--dropout-rate", type=float, dest="dropout_rate")
-    p.add_argument("--heads", type=int)
-    p.add_argument("--max-n", type=int, dest="max_n")
-    p.add_argument("--injection", choices=INJECTION_SITES)
-    p.add_argument("--ip-scale", type=float, dest="ip_scale")
-    p.add_argument("--dtype", choices=["float32", "float64"])
-    p.add_argument("--data-dir", dest="data_dir")
-    p.add_argument("--checkpoint-dir", dest="checkpoint_dir")
-    p.add_argument("--report-dir", dest="report_dir")
+# Every settable config flag. build_config sets the RunConfig field named by
+# each flag's dest; each subcommand takes only the flags it reads.
+CONFIG_FLAGS = {
+    "--config": dict(help="JSON config file; flags override it"),
+    "--seed": dict(type=int),
+    "--lam": dict(type=float),
+    "--cfg-w": dict(type=float),
+    "--steps": dict(type=int, dest="sample_steps"),
+    "--train-steps": dict(type=int),
+    "--lr": dict(type=float),
+    "--dropout-rate": dict(type=float),
+    "--heads": dict(type=int),
+    "--max-n": dict(type=int),
+    "--injection": dict(choices=INJECTION_SITES),
+    "--ip-scale": dict(type=float),
+    "--dtype": dict(choices=["float32", "float64"]),
+    "--data-dir": {},
+    "--checkpoint-dir": {},
+}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, names: str):
+    for name in names.split():
+        p.add_argument(name, **CONFIG_FLAGS[name])
 
 
 def build_config(args) -> RunConfig:
@@ -57,6 +64,29 @@ def build_config(args) -> RunConfig:
     if getattr(args, "ip_scale", None) is not None:
         cfg.injection.ip_scale = args.ip_scale
     return cfg.apply_env().validate()
+
+
+def _checkpoint_config(cfg: RunConfig, config_file) -> RunConfig:
+    """Set `cfg`'s MODEL_FIELDS to those stored in its checkpoint's manifest.
+
+    The weights fit only the model they were trained as, so a config file
+    that names a different model is an error, not an override.
+    """
+    mpath = Path(cfg.checkpoint_dir) / "manifest.json"
+    stored = read_manifest(cfg.checkpoint_dir).get("config")
+    if not isinstance(stored, dict):
+        raise QltError(f"{mpath}: 'config' must be an object")
+    try:
+        stored = RunConfig.from_dict(stored).validate()
+    except ConfigError as e:
+        raise ConfigError(f"{mpath}: config: {e}") from None
+    for name in MODEL_FIELDS:
+        mine, theirs = getattr(cfg, name), getattr(stored, name)
+        if config_file and mine != theirs:
+            raise ConfigError(f"{config_file}: {name}={mine!r} but the "
+                              f"checkpoint {mpath} has {name}={theirs!r}")
+        setattr(cfg, name, theirs)
+    return cfg
 
 
 def _parse_counts(spec: str) -> list:
@@ -100,7 +130,7 @@ def cmd_edit(args) -> int:
     from .data import caption_for
     from .pipeline import Pipeline, load_image
 
-    cfg = build_config(args)
+    cfg = _checkpoint_config(build_config(args), args.config)
     pipe = Pipeline(cfg)
     pipe.load(cfg.checkpoint_dir)
     doc = load_layout_json(args.layout)
@@ -205,8 +235,11 @@ def cmd_dump_attention(args) -> int:
     if args.site not in BLOCK_NAMES:
         raise ConfigError(f"unknown site {args.site!r}; valid sites: "
                           f"{', '.join(BLOCK_NAMES)}")
+    has_checkpoint = Path(cfg.checkpoint_dir, "manifest.json").exists()
+    if has_checkpoint:
+        cfg = _checkpoint_config(cfg, args.config)
     pipe = Pipeline(cfg)
-    if Path(cfg.checkpoint_dir, "manifest.json").exists():
+    if has_checkpoint:
         pipe.load(cfg.checkpoint_dir)
     doc = load_layout_json(args.layout)
     image = load_image(args.image)
@@ -234,18 +267,20 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic shape scenes")
-    _add_config_flags(p)
+    _add_config_flags(p, "--config --seed --data-dir")
     p.add_argument("--counts", default="1-10",
                    help="object counts, e.g. '1-10' or '2,4,6'")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train the adapter branch")
-    _add_config_flags(p)
+    _add_config_flags(p, "--config --seed --lam --train-steps --lr --dropout-rate "
+                      "--heads --max-n --injection --ip-scale --dtype "
+                      "--data-dir --checkpoint-dir")
     p.add_argument("--ip-checkpoint", help="prior checkpoint for adapter init")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("edit", help="sample an edited image")
-    _add_config_flags(p)
+    _add_config_flags(p, "--config --seed --lam --cfg-w --steps --checkpoint-dir")
     p.add_argument("--image", required=True)
     p.add_argument("--layout", required=True)
     p.add_argument("--prompt", default="")
@@ -266,7 +301,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("dump-attn", help="export attention maps at a block")
-    _add_config_flags(p)
+    _add_config_flags(p, "--config --seed --lam --checkpoint-dir")
     p.add_argument("--image", required=True)
     p.add_argument("--layout", required=True)
     p.add_argument("--prompt", default="")
@@ -275,7 +310,12 @@ def main(argv=None) -> int:
     p.add_argument("--out", default="attention")
     p.set_defaults(func=cmd_dump_attention)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:    # usage errors exit 1, like any bad input
+        if e.code:
+            return 1
+        raise
     try:
         return args.func(args)
     except NumericsError as e:

@@ -8,6 +8,11 @@ from dataclasses import dataclass, field
 
 INJECTION_SITES = ("down2", "down4", "mid", "all")
 
+# The fields that fix which model a checkpoint's weights belong to: all
+# that Pipeline.__init__ and Pipeline.condition read, apart from the seed.
+MODEL_FIELDS = ("d_i", "d_t", "d_l", "d_model", "heads", "max_n",
+                "image_size", "patch_size", "injection", "t_train", "dtype")
+
 
 class ConfigError(ValueError):
     """Raised on invalid configuration values."""

@@ -106,8 +106,23 @@ def load_layout_json(path) -> dict:
     """Read the layout schema: image/width/height/category/count/boxes."""
     with open(path) as f:
         doc = json.load(f)
-    boxes = [Box4(*b) for b in doc["boxes"]]
-    if doc.get("count") is not None and doc["count"] != len(boxes):
+    if not isinstance(doc, dict):
+        raise LayoutError(f"{path}: layout must be a JSON object")
+    for key in ("boxes", "count", "category"):
+        if key not in doc:
+            raise LayoutError(f"{path}: missing '{key}'")
+    if not isinstance(doc["boxes"], list):
+        raise LayoutError(f"{path}: 'boxes' must be a list")
+    boxes = []
+    for i, b in enumerate(doc["boxes"]):
+        if not (isinstance(b, list) and len(b) == 4 and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in b)):
+            raise LayoutError(f"{path}: boxes[{i}] must be 4 numbers, got {b!r}")
+        try:
+            boxes.append(Box4(*b))
+        except LayoutError as e:
+            raise LayoutError(f"{path}: boxes[{i}]: {e}") from None
+    if doc["count"] != len(boxes):
         raise LayoutError(f"{path}: count={doc['count']} but {len(boxes)} boxes")
     doc["boxes"] = boxes
     return doc

@@ -72,10 +72,9 @@ def save_checkpoint(directory, named_arrays: dict, extra: dict | None = None):
         json.dump(manifest, f, indent=1, sort_keys=True)
 
 
-def load_checkpoint(directory) -> tuple[dict, dict]:
-    """Return ({name -> ndarray}, manifest)."""
-    directory = Path(directory)
-    mpath = directory / "manifest.json"
+def read_manifest(directory) -> dict:
+    """Return a checkpoint's manifest, checked to carry a `tensors` object."""
+    mpath = Path(directory) / "manifest.json"
     if not mpath.exists():
         raise QltError(f"no manifest.json in {directory}")
     try:
@@ -85,12 +84,19 @@ def load_checkpoint(directory) -> tuple[dict, dict]:
         raise QltError(f"{mpath}: invalid JSON: {e}") from None
     if not isinstance(manifest, dict):
         raise QltError(f"{mpath}: manifest must be a JSON object")
-    tensors = manifest.get("tensors")
-    if not isinstance(tensors, dict):
+    if not isinstance(manifest.get("tensors"), dict):
         raise QltError(f"{mpath}: 'tensors' must be an object")
+    return manifest
+
+
+def load_checkpoint(directory) -> tuple[dict, dict]:
+    """Return ({name -> ndarray}, manifest)."""
+    directory = Path(directory)
+    mpath = directory / "manifest.json"
+    manifest = read_manifest(directory)
     root = directory.resolve()
     arrays = {}
-    for name, entry in tensors.items():
+    for name, entry in manifest["tensors"].items():
         if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)
                 and isinstance(entry.get("shape"), list)):
             raise QltError(f"{mpath}: tensor {name}: entry needs a 'file' "

@@ -7,6 +7,9 @@ import pytest
 
 from layoutedit.cli import main
 from layoutedit.config import RunConfig
+from layoutedit.data import caption_for
+from layoutedit.layout import load_layout_json
+from layoutedit.pipeline import Pipeline, load_image
 from layoutedit.qlt import load_qlt
 
 
@@ -44,6 +47,25 @@ class TestSynth:
         assert main(["synth", "--config", cfg, "--counts", "2,5"]) == 0
         index = json.loads((tmp_path / "data" / "index.json").read_text())
         assert len(index["scenes"]) == 2
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["synth", "--heads", "4"], "--heads"),
+        (["train", "--injection", "down9"], "--injection"),
+        (["edit", "--layout", "l.json"], "--image"),
+        (["edit", "--image", "i.ppm", "--layout", "l.json", "--heads", "4"],
+         "--heads"),
+        (["dump-attn", "--image", "i.ppm", "--layout", "l.json", "--site",
+          "down4", "--injection", "mid"], "--injection"),
+    ])
+    def test_usage_error_exits_1(self, capsys, argv, flag):
+        assert main(argv) == 1
+        assert flag in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["edit", "--help"])
+        assert info.value.code == 0
+        assert "--checkpoint-dir" in capsys.readouterr().out
 
     def test_ql_seed_env_changes_output(self, tmp_path, monkeypatch):
         cfg = small_config_file(tmp_path)
@@ -97,6 +119,92 @@ class TestTrainAndEdit:
         assert rc == 1
         err = capsys.readouterr().err
         assert name in err and field in err
+
+    @pytest.mark.parametrize("doc,field", [
+        ([], "object"),
+        ({"count": 1, "category": "circle"}, "'boxes'"),
+        ({"boxes": [[0.1, 0.1, 0.2]], "count": 1, "category": "circle"},
+         "boxes[0]"),
+        ({"boxes": [[0.1, 0.1, 0.5, 0.5]], "category": "circle"}, "'count'"),
+        ({"boxes": [[0.1, 0.1, 0.5, 0.5]], "count": 1}, "'category'"),
+    ])
+    def test_edit_bad_layout_names_file(self, trained, tmp_path, capsys,
+                                        doc, field):
+        root, cfg = trained
+        (tmp_path / "layout.json").write_text(json.dumps(doc))
+        rc = main(["edit", "--config", cfg,
+                   "--image", str(root / "data" / "scene_000.ppm"),
+                   "--layout", str(tmp_path / "layout.json"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "layout.json" in err and field in err
+
+    @pytest.mark.parametrize("flag", ["--image", "--layout"])
+    def test_edit_directory_path_names_it(self, trained, tmp_path, capsys, flag):
+        root, cfg = trained
+        paths = {"--image": str(root / "data" / "scene_000.ppm"),
+                 "--layout": str(root / "data" / "scene_000.json")}
+        paths[flag] = str(tmp_path)
+        rc = main(["edit", "--config", cfg, "--image", paths["--image"],
+                   "--layout", paths["--layout"], "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_edit_builds_the_model_from_the_checkpoint(self, tmp_path):
+        cfg = run_synth(tmp_path)
+        assert main(["train", "--config", cfg,
+                     "--heads", "4", "--injection", "mid"]) == 0
+        scene = tmp_path / "data" / "scene_001"
+        out_base = tmp_path / "edited"
+        # No model flags: heads, injection and widths come from the manifest.
+        assert main(["edit", "--checkpoint-dir", str(tmp_path / "ckpt"),
+                     "--seed", "3", "--steps", "2",
+                     "--image", str(scene.with_suffix(".ppm")),
+                     "--layout", str(scene.with_suffix(".json")),
+                     "--prompt", "two circles", "--out", str(out_base)]) == 0
+
+        trained_cfg = RunConfig.load(cfg)
+        trained_cfg.heads = 4
+        trained_cfg.injection.position = "mid"
+        pipe = Pipeline(trained_cfg)
+        pipe.load(tmp_path / "ckpt")
+        doc = load_layout_json(scene.with_suffix(".json"))
+        want = pipe.edit(load_image(scene.with_suffix(".ppm")), doc["boxes"],
+                         caption_for(doc["count"], doc["category"]),
+                         "two circles")
+        np.testing.assert_array_equal(load_qlt(out_base.with_suffix(".qlt")),
+                                      want.astype(np.float32))
+
+    def test_edit_config_conflicting_with_checkpoint_names_field(
+            self, trained, tmp_path, capsys):
+        root, _ = trained
+        other = small_config_file(tmp_path, heads=4,
+                                  checkpoint_dir=str(root / "ckpt"))
+        rc = main(["edit", "--config", other,
+                   "--image", str(root / "data" / "scene_000.ppm"),
+                   "--layout", str(root / "data" / "scene_000.json"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "heads" in err and "manifest.json" in err and "config.json" in err
+
+    def test_edit_manifest_without_config_names_manifest(self, trained, tmp_path,
+                                                         capsys):
+        root, cfg = trained
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(root / "ckpt", ckpt)
+        mpath = ckpt / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        del manifest["config"]
+        mpath.write_text(json.dumps(manifest))
+        rc = main(["edit", "--checkpoint-dir", str(ckpt),
+                   "--image", str(root / "data" / "scene_000.ppm"),
+                   "--layout", str(root / "data" / "scene_000.json"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "'config'" in err
 
     def test_edit_manifest_outside_directory_names_manifest(self, trained, tmp_path,
                                                            capsys):
@@ -218,6 +326,17 @@ class TestDumpAttention:
         assert adapter.shape == (2, 64, 1)
         np.testing.assert_allclose(text.sum(axis=-1), 1.0, atol=1e-6)
         np.testing.assert_allclose(adapter.sum(axis=-1), 1.0, atol=1e-6)
+
+    def test_builds_the_model_from_a_checkpoint(self, trained, tmp_path):
+        root, _ = trained
+        out_dir = tmp_path / "attn"
+        rc = main(["dump-attn", "--checkpoint-dir", str(root / "ckpt"),
+                   "--image", str(root / "data" / "scene_000.ppm"),
+                   "--layout", str(root / "data" / "scene_000.json"),
+                   "--site", "down4", "--out", str(out_dir)])
+        assert rc == 0
+        # the checkpoint's 2 heads, not the default 8
+        assert load_qlt(out_dir / "down4_text.qlt").shape == (2, 64, 1)
 
     def test_unknown_site(self, tmp_path, capsys):
         cfg = run_synth(tmp_path)

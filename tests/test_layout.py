@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,23 @@ def test_layout_json_roundtrip(tmp_path):
     assert doc["count"] == 2
     assert doc["boxes"] == boxes
     assert doc["category"] == "circle"
+
+
+@pytest.mark.parametrize("doc,field", [
+    ([], "object"),
+    ({"count": 0, "category": "circle"}, "'boxes'"),
+    ({"boxes": "none", "count": 0, "category": "circle"}, "'boxes'"),
+    ({"boxes": [[0.1, 0.1, 0.2]], "count": 1, "category": "circle"}, "boxes[0]"),
+    ({"boxes": [[0.1, 0.1, 0.2, "x"]], "count": 1, "category": "circle"}, "boxes[0]"),
+    ({"boxes": [[0.1, 0.1, 0.5, 0.5], [0.5, 0.5, 0.2, 0.9]], "count": 2,
+      "category": "circle"}, "boxes[1]"),
+    ({"boxes": [], "category": "circle"}, "'count'"),
+    ({"boxes": [], "count": 0}, "'category'"),
+    ({"boxes": [], "count": 1, "category": "circle"}, "count"),
+])
+def test_bad_layout_json_names_file_and_field(tmp_path, doc, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(LayoutError, match="bad.json") as info:
+        load_layout_json(path)
+    assert field in str(info.value)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from layoutedit.qlt import (MAGIC, QltError, load_checkpoint, load_qlt,
-                            save_checkpoint, save_qlt)
+                            read_manifest, save_checkpoint, save_qlt)
 from layoutedit.rng import Rng
 
 
@@ -55,6 +55,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert set(arrays) == {"w", "b"}
     np.testing.assert_array_equal(arrays["w"], named["w"])
     assert manifest["ip_attention"] == {"down4": {}}
+    assert read_manifest(tmp_path / "ckpt") == manifest
 
 
 def test_checkpoint_shape_mismatch(tmp_path):
@@ -67,11 +68,16 @@ def test_checkpoint_shape_mismatch(tmp_path):
         load_checkpoint(tmp_path / "ckpt")
 
 
-@pytest.mark.parametrize("text,what", [
+# Checked by read_manifest; the entry cases below only by load_checkpoint.
+MANIFEST_CASES = [
     ("{not json", "invalid JSON"),
     ("[1, 2]", "JSON object"),
     ("{}", "'tensors'"),
     ('{"tensors": [1]}', "'tensors'"),
+]
+
+
+@pytest.mark.parametrize("text,what", MANIFEST_CASES + [
     ('{"tensors": {"w": {"shape": [2]}}}', "'file'"),
     ('{"tensors": {"w": {"file": "w.qlt"}}}', "'shape'"),
     ('{"tensors": {"w": "w.qlt"}}', "'file'"),
@@ -86,6 +92,19 @@ def test_bad_manifest_names_path(tmp_path, text, what):
     (tmp_path / "ckpt" / "manifest.json").write_text(text)
     with pytest.raises(QltError, match="manifest.json") as info:
         load_checkpoint(tmp_path / "ckpt")
+    assert what in str(info.value)
+
+
+@pytest.mark.parametrize("text,what", MANIFEST_CASES + [(None, "no manifest.json")])
+def test_read_manifest_names_path(tmp_path, text, what):
+    save_checkpoint(tmp_path / "ckpt", {"w": np.zeros(2, dtype=np.float32)})
+    mpath = tmp_path / "ckpt" / "manifest.json"
+    if text is None:
+        mpath.unlink()
+    else:
+        mpath.write_text(text)
+    with pytest.raises(QltError, match="manifest.json") as info:
+        read_manifest(tmp_path / "ckpt")
     assert what in str(info.value)
 
 
