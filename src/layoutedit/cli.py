@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import INJECTION_SITES, MODEL_FIELDS, ConfigError, RunConfig
-from .data import DatasetError, generate_dataset, write_ppm
+from .data import DatasetError, caption_for, generate_dataset, write_ppm
 from .diffusion import BLOCK_NAMES
 from .encoders import VocabError
 from .gradcheck import REL_TOL, check_param_group, projection_head
-from .layout import Box4, LayoutError, load_layout_json
+from .layout import LayoutError, load_layout_json
 from .metrics import DetectionSet, load_detection_json, report
 from .qlt import QltError, read_manifest, save_qlt
 from .rng import Rng
@@ -89,6 +89,15 @@ def _checkpoint_config(cfg: RunConfig, config_file) -> RunConfig:
     return cfg
 
 
+def _load_layout(path):
+    """Read a layout file; return it and its auxiliary caption."""
+    doc = load_layout_json(path)
+    try:
+        return doc, caption_for(doc["count"], doc["category"])
+    except DatasetError as e:
+        raise DatasetError(f"{path}: {e}") from None
+
+
 def _parse_counts(spec: str) -> list:
     out = []
     for part in spec.split(","):
@@ -127,15 +136,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_edit(args) -> int:
-    from .data import caption_for
     from .pipeline import Pipeline, load_image
 
     cfg = _checkpoint_config(build_config(args), args.config)
     pipe = Pipeline(cfg)
     pipe.load(cfg.checkpoint_dir)
-    doc = load_layout_json(args.layout)
+    doc, aux = _load_layout(args.layout)
     image = load_image(args.image)
-    aux = caption_for(doc["count"], doc["category"])
     out = pipe.edit(image, doc["boxes"], aux, args.prompt)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -157,12 +164,11 @@ def cmd_eval(args) -> int:
     for g in gt_files:
         with open(g) as f:
             gt_raw = json.load(f)
-        if "boxes" in gt_raw:          # layout schema
-            ground_truth = [Box4(*b) for b in gt_raw["boxes"]]
-        elif gt_raw.get("ground_truth"):
-            ground_truth = load_detection_json(g).ground_truth
-        else:                          # detection schema as oracle truth
-            ground_truth = [d.box for d in load_detection_json(g).detections]
+        if isinstance(gt_raw, dict) and "boxes" in gt_raw:   # layout schema
+            ground_truth = load_layout_json(g)["boxes"]
+        else:    # detection schema; without ground_truth, as oracle truth
+            gt = load_detection_json(g)
+            ground_truth = gt.ground_truth or [d.box for d in gt.detections]
         pred_path = pred_dir / g.name
         dets = load_detection_json(pred_path).detections if pred_path.exists() else []
         sets.append(DetectionSet(detections=dets, ground_truth=ground_truth))
@@ -192,19 +198,14 @@ def cmd_gradcheck(args) -> int:
     head_f = projection_head(rng, "head_f")
     head_t = projection_head(rng, "head_t")
     head_d = projection_head(rng, "head_d")
-    bundle_cache = {}
-
-    def bundle():
-        if "b" not in bundle_cache:
-            bundle_cache["b"] = pipe.condition(img, boxes, "two squares")
-        return bundle_cache["b"]
+    bundle = pipe.condition(img, boxes, "two squares")
 
     def head_scalar():
-        b = pipe.condition(img, boxes, "two squares", detach=False)
+        b = pipe.condition(img, boxes, "two squares")
         return head_f(b.f) + head_t(b.f_t)
 
     def denoiser_scalar():
-        return head_d(pipe.denoiser.forward(Tensor(latent), 7, bundle()))
+        return head_d(pipe.denoiser.forward(Tensor(latent), 7, bundle))
 
     groups = []
     for p in (pipe.image_encoder.params() + pipe.text_encoder.params()
@@ -228,7 +229,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_dump_attention(args) -> int:
-    from .data import caption_for
     from .pipeline import Pipeline, load_image
 
     cfg = build_config(args)
@@ -241,9 +241,8 @@ def cmd_dump_attention(args) -> int:
     pipe = Pipeline(cfg)
     if has_checkpoint:
         pipe.load(cfg.checkpoint_dir)
-    doc = load_layout_json(args.layout)
+    doc, aux = _load_layout(args.layout)
     image = load_image(args.image)
-    aux = caption_for(doc["count"], doc["category"])
     bundle = pipe.condition(image, doc["boxes"], aux, prompt=args.prompt)
     latent = Rng(cfg.seed).spawn("dump").normal(
         (pipe.denoiser.n_tokens, pipe.denoiser.d_latent))

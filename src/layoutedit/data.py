@@ -33,6 +33,9 @@ class DatasetError(ValueError):
 
 
 def caption_for(count: int, shape: str) -> str:
+    if not (isinstance(count, int) and 1 <= count <= len(COUNT_WORDS)):
+        raise DatasetError(f"count must be an integer in "
+                           f"1..{len(COUNT_WORDS)}, got {count!r}")
     noun = shape if count == 1 else shape + "s"
     return f"{COUNT_WORDS[count - 1]} {noun}"
 

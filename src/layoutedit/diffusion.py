@@ -170,10 +170,6 @@ class DenoiserState:
             p.tensor.requires_grad = True
         return self.ip_params()
 
-    def set_dtype(self, dtype):
-        for p in self.all_params():
-            p.set_dtype(dtype)
-
     # ------------------------------------------------------------------
     def forward(self, z, t: int, bundle: ConditionBundle,
                 weights_out: dict | None = None) -> Tensor:

@@ -102,6 +102,18 @@ class LayoutEmbedder:
         return linear(emb, self.w_p.tensor)
 
 
+def parse_box(b, where: str) -> Box4:
+    """A JSON box: a list of 4 numbers forming a valid Box4. Errors
+    start with `where` (file and field)."""
+    if not (isinstance(b, list) and len(b) == 4 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in b)):
+        raise LayoutError(f"{where} must be 4 numbers, got {b!r}")
+    try:
+        return Box4(*b)
+    except LayoutError as e:
+        raise LayoutError(f"{where}: {e}") from None
+
+
 def load_layout_json(path) -> dict:
     """Read the layout schema: image/width/height/category/count/boxes."""
     with open(path) as f:
@@ -113,15 +125,8 @@ def load_layout_json(path) -> dict:
             raise LayoutError(f"{path}: missing '{key}'")
     if not isinstance(doc["boxes"], list):
         raise LayoutError(f"{path}: 'boxes' must be a list")
-    boxes = []
-    for i, b in enumerate(doc["boxes"]):
-        if not (isinstance(b, list) and len(b) == 4 and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in b)):
-            raise LayoutError(f"{path}: boxes[{i}] must be 4 numbers, got {b!r}")
-        try:
-            boxes.append(Box4(*b))
-        except LayoutError as e:
-            raise LayoutError(f"{path}: boxes[{i}]: {e}") from None
+    boxes = [parse_box(b, f"{path}: boxes[{i}]")
+             for i, b in enumerate(doc["boxes"])]
     if doc["count"] != len(boxes):
         raise LayoutError(f"{path}: count={doc['count']} but {len(boxes)} boxes")
     doc["boxes"] = boxes

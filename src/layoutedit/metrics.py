@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import Box4
+from .layout import Box4, LayoutError, parse_box
 
 
 @dataclass
@@ -114,13 +114,26 @@ def load_detection_json(path) -> DetectionSet:
     "ground_truth": [[x0,y0,x1,y1]...]}."""
     with open(path) as f:
         doc = json.load(f)
-    detections = [Detection(box=Box4(*d["box"]), score=float(d["score"]))
-                  for d in doc.get("detections", [])]
-    for i, d in enumerate(detections):
-        if not np.isfinite(d.score):
-            raise ValueError(f"{path}: detection {i} score {d.score} is not finite")
-    return DetectionSet(detections=detections,
-                        ground_truth=[Box4(*b) for b in doc.get("ground_truth", [])])
+    if not isinstance(doc, dict):
+        raise LayoutError(f"{path}: detection file must be a JSON object")
+    for key in ("detections", "ground_truth"):
+        if not isinstance(doc.get(key, []), list):
+            raise LayoutError(f"{path}: '{key}' must be a list")
+    detections = []
+    for i, d in enumerate(doc.get("detections", [])):
+        where = f"{path}: detections[{i}]"
+        if not isinstance(d, dict):
+            raise LayoutError(f"{where} must be an object with 'box' and 'score'")
+        score = d.get("score")
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
+            raise LayoutError(f"{where}: 'score' must be a number, got {score!r}")
+        if not np.isfinite(score):
+            raise LayoutError(f"{where}: score {score} is not finite")
+        detections.append(Detection(box=parse_box(d.get("box"), f"{where}: box"),
+                                    score=float(score)))
+    return DetectionSet(detections=detections, ground_truth=[
+        parse_box(b, f"{path}: ground_truth[{i}]")
+        for i, b in enumerate(doc.get("ground_truth", []))])
 
 
 def save_detection_json(path, image: str, dets: DetectionSet):

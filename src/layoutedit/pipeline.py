@@ -42,7 +42,6 @@ class Pipeline:
         dtype = np.float32 if config.dtype == "float32" else np.float64
         for p in self.all_params():
             p.set_dtype(dtype)
-        self.freeze()
 
     # ------------------------------------------------------------------
     def adapter_head_params(self):
@@ -61,19 +60,14 @@ class Pipeline:
             out[p.name] = p
         return out
 
-    def freeze(self):
-        """Everything frozen except the adapter branch at active sites."""
-        for p in self.all_params():
-            p.tensor.requires_grad = False
-        return self.denoiser.set_trainable()
-
     # ------------------------------------------------------------------
     def condition(self, image: np.ndarray, boxes, aux_caption: str,
-                  prompt: str = "", detach: bool = True) -> ConditionBundle:
+                  prompt: str = "") -> ConditionBundle:
         """Build the denoiser conditioning from an image, its layout and
         the auxiliary caption. `prompt` feeds the text branch: empty at
-        train time, the edit prompt at inference. `detach=False` keeps
-        the tape through the encoders (gradient-check harness)."""
+        train time, the edit prompt at inference. The bundle carries a
+        tape only through parameters flagged `requires_grad` (the
+        gradient-check harness)."""
         dtype = self.denoiser.w_in.data.dtype
         enc = self.image_encoder.encode(Tensor(np.asarray(image, dtype=dtype)))
         layout = build_layout(boxes, self.config.max_n)
@@ -83,11 +77,7 @@ class Pipeline:
         t_aug, i_aug = cmam_forward(self.cmam, aux.tokens, enc.cls)
         f = fuse(self.fuse, i_aug, t_aug, f_layout)
         f_t = self.text_encoder.encode(self.text_encoder.tokenize(prompt))
-        if not detach:
-            return ConditionBundle(f_t=f_t.tokens, f=f, lam=self.config.lam)
-        return ConditionBundle(f_t=Tensor(f_t.tokens.data.astype(dtype)),
-                               f=Tensor(f.data.astype(dtype)),
-                               lam=self.config.lam)
+        return ConditionBundle(f_t=f_t.tokens, f=f, lam=self.config.lam)
 
     # ------------------------------------------------------------------
     def save(self, directory):
@@ -150,18 +140,19 @@ class Pipeline:
               progress=None):
         """Train the adapter-branch weights on a scene directory.
 
-        Returns the per-step loss list; writes a JSON-lines log when
-        `log_path` is given.
+        Only these weights are flagged trainable, and only while this
+        runs. Returns the per-step loss list; writes a JSON-lines log
+        when `log_path` is given.
         """
         data_dir = Path(data_dir)
         with open(data_dir / "index.json") as f:
             names = json.load(f)["scenes"]
         scenes = [self.load_scene(data_dir, n) for n in names]
-        trainable = self.freeze()
         steps = steps if steps is not None else self.config.train_steps
         rng = Rng(self.config.seed).spawn("train")
         losses = []
         log = open(log_path, "w") if log_path else None
+        trainable = self.denoiser.set_trainable()
         try:
             for step in range(steps):
                 _, latent, bundle = scenes[rng.randint(len(scenes))]
@@ -175,6 +166,8 @@ class Pipeline:
                 if progress and (step + 1) % 100 == 0:
                     progress(step + 1, res.loss)
         finally:
+            for p in trainable:
+                p.tensor.requires_grad = False
             if log:
                 log.close()
         return losses

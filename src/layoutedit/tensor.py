@@ -445,14 +445,15 @@ def mha(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
 # ----------------------------------------------------------------------
 # parameters and optimizer
 class Param:
-    """Named trainable tensor with AdamW moment state."""
+    """Named tensor, frozen until a trainer flags it `requires_grad`.
 
-    def __init__(self, name: str, data, requires_grad: bool = True):
+    AdamW moments (`m`, `v`) exist only once `adamw_step` has updated it.
+    """
+
+    def __init__(self, name: str, data):
         self.name = name
-        self.tensor = Tensor(np.asarray(data, dtype=np.float64),
-                             requires_grad=requires_grad)
-        self.m = np.zeros_like(self.tensor.data)
-        self.v = np.zeros_like(self.tensor.data)
+        self.tensor = Tensor(np.asarray(data, dtype=np.float64))
+        self.m = self.v = None
         self.step = 0
 
     @property
@@ -468,8 +469,6 @@ class Param:
 
     def set_dtype(self, dtype):
         self.tensor.data = self.tensor.data.astype(dtype)
-        self.m = self.m.astype(dtype)
-        self.v = self.v.astype(dtype)
 
 
 def adamw_step(params, lr: float = 2.5e-4, betas=(0.9, 0.999),
@@ -484,6 +483,9 @@ def adamw_step(params, lr: float = 2.5e-4, betas=(0.9, 0.999),
             raise ShapeError(f"grad shape {g.shape} does not match param "
                              f"{p.name} shape {p.tensor.data.shape}")
         p.step += 1
+        if p.m is None:
+            p.m = np.zeros_like(p.tensor.data)
+            p.v = np.zeros_like(p.tensor.data)
         p.m = b1 * p.m + (1.0 - b1) * g
         p.v = b2 * p.v + (1.0 - b2) * g * g
         mhat = p.m / (1.0 - b1 ** p.step)

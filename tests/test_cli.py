@@ -127,6 +127,9 @@ class TestTrainAndEdit:
          "boxes[0]"),
         ({"boxes": [[0.1, 0.1, 0.5, 0.5]], "category": "circle"}, "'count'"),
         ({"boxes": [[0.1, 0.1, 0.5, 0.5]], "count": 1}, "'category'"),
+        ({"boxes": [], "count": 0, "category": "circle"}, "count"),
+        ({"boxes": [[0.08 * i, 0.1, 0.08 * i + 0.05, 0.2] for i in range(11)],
+          "count": 11, "category": "circle"}, "count"),
     ])
     def test_edit_bad_layout_names_file(self, trained, tmp_path, capsys,
                                         doc, field):
@@ -287,6 +290,28 @@ class TestEval:
         assert rc == 1
         err = capsys.readouterr().err
         assert "a.json" in err and "score" in err
+
+    GOOD_GT = {"image": "a.qlt", "category": "circle", "count": 1,
+               "boxes": [[0.1, 0.1, 0.4, 0.4]]}
+    GOOD_PRED = {"detections": [{"box": [0.1, 0.1, 0.4, 0.4], "score": 0.9}]}
+
+    @pytest.mark.parametrize("gt,pred,bad,field", [
+        (dict(GOOD_GT, boxes=[[0.1, 0.1, 0.4]]), GOOD_PRED, "gt", "boxes[0]"),
+        ([], GOOD_PRED, "gt", "object"),
+        (GOOD_GT, {"detections": [{"box": [0.1, 0.1], "score": 0.9}]},
+         "pred", "detections[0]"),
+        (GOOD_GT, [1], "pred", "object"),
+    ])
+    def test_malformed_input_names_file(self, tmp_path, capsys, gt, pred,
+                                        bad, field):
+        for sub, doc in (("gt", gt), ("pred", pred)):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "a.json").write_text(json.dumps(doc))
+        rc = main(["eval", "--pred-dir", str(tmp_path / "pred"),
+                   "--gt-dir", str(tmp_path / "gt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / bad / "a.json") in err and field in err
 
     def test_empty_gt_dir_rejected(self, tmp_path):
         (tmp_path / "gt").mkdir()

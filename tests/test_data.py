@@ -22,6 +22,11 @@ class TestCaption:
     def test_ten(self):
         assert caption_for(10, "circle") == "ten circles"
 
+    @pytest.mark.parametrize("count", [0, 11, 1.0])
+    def test_count_outside_words(self, count):
+        with pytest.raises(DatasetError, match="count"):
+            caption_for(count, "circle")
+
 
 class TestRenderScene:
     def test_count_matches_boxes(self):

@@ -277,6 +277,7 @@ class TestSample:
 
     def test_output_dtype_follows_config(self):
         st = small_state(dtype="float32")
-        st.set_dtype(np.float32)
+        for p in st.all_params():
+            p.set_dtype(np.float32)
         out = sample(st, random_bundle(st), w=1.0, steps=2, rng=Rng(12))
         assert out.dtype == np.float32

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from layoutedit import pipeline, tensor
 from layoutedit.adapter import fuse
 from layoutedit.cmam import cmam_forward
 from layoutedit.config import RunConfig
@@ -66,11 +67,58 @@ def test_masked_attention_keeps_float32(pipe):
     assert f_layout.dtype == np.float32 and f.dtype == np.float32
 
 
-def test_only_adapter_branch_trainable(pipe):
-    trainable = [p.name for p in pipe.all_params() if p.tensor.requires_grad]
-    assert sorted(trainable) == ["den.down4.cross.w_kf",
-                                 "den.down4.cross.w_of",
-                                 "den.down4.cross.w_vf"]
+ADAPTER_WEIGHTS = ["den.down4.cross.w_kf", "den.down4.cross.w_of",
+                   "den.down4.cross.w_vf"]
+
+
+def trained_pipe(tmp_path, monkeypatch):
+    """Train a small pipeline, recording what each adamw_step was given."""
+    cfg = small_config(tmp_path)
+    generate_dataset(cfg.data_dir, seed=cfg.seed, counts=[1, 2],
+                     image_size=cfg.image_size)
+    pipe = Pipeline(cfg)
+    pipe.init_ip_weights(None, seed=cfg.seed + 7)
+    calls, real_adamw = [], pipeline.adamw_step
+
+    def spy(params, **kwargs):
+        calls.append([(p.name, p.tensor.requires_grad) for p in params])
+        real_adamw(params, **kwargs)
+
+    monkeypatch.setattr(pipeline, "adamw_step", spy)
+    pipe.train(cfg.data_dir)
+    return pipe, calls
+
+
+def test_fresh_pipeline_is_frozen_and_edit_records_no_tape(pipe, monkeypatch):
+    assert [p.name for p in pipe.all_params() if p.tensor.requires_grad] == []
+    assert all(p.m is None and p.v is None for p in pipe.all_params())
+    tape, real_node = [], tensor._node
+
+    def counting_node(*args):
+        out = real_node(*args)
+        if out._parents:
+            tape.append(args[-1])
+        return out
+
+    monkeypatch.setattr(tensor, "_node", counting_node)
+    pipe.edit(Rng(4).uniform((3, 16, 16)), BOXES, "two circles",
+              "three circles")
+    assert tape == []
+
+
+def test_train_flags_only_adapter_weights_while_it_runs(tmp_path, monkeypatch):
+    pipe, calls = trained_pipe(tmp_path, monkeypatch)
+    assert len(calls) == pipe.config.train_steps
+    for seen in calls:
+        assert sorted(seen) == [(name, True) for name in ADAPTER_WEIGHTS]
+    assert [p.name for p in pipe.all_params() if p.tensor.requires_grad] == []
+
+
+def test_only_trained_weights_hold_adamw_moments(tmp_path, monkeypatch):
+    pipe, _ = trained_pipe(tmp_path, monkeypatch)
+    held = sorted(p.name for p in pipe.all_params()
+                  if p.m is not None or p.v is not None)
+    assert held == ADAPTER_WEIGHTS
 
 
 def test_condition_shapes_and_detached(pipe):
@@ -82,11 +130,11 @@ def test_condition_shapes_and_detached(pipe):
     assert not b.f.requires_grad and b.f._parents == ()
 
 
-def test_condition_detach_false_keeps_tape(pipe):
+def test_condition_keeps_tape_through_flagged_param(pipe):
     img = Rng(1).uniform((3, 16, 16))
     p = pipe.ilfm.w_qi
     p.tensor.requires_grad = True
-    b = pipe.condition(img, BOXES, "two squares", detach=False)
+    b = pipe.condition(img, BOXES, "two squares")
     b.f.sum().backward()
     assert p.tensor.grad is not None
     assert np.abs(p.tensor.grad).sum() > 0
