@@ -43,11 +43,15 @@ class NoiseSchedule:
 
 def forward_noise(x0: np.ndarray, t: int, eps: np.ndarray,
                   schedule: NoiseSchedule) -> np.ndarray:
-    """Closed-form q-sample: sqrt(a_bar)*x0 + sqrt(1-a_bar)*eps."""
+    """Closed-form q-sample: sqrt(a_bar)*x0 + sqrt(1-a_bar)*eps.
+
+    The result has x0's dtype: the float64 coefficients would otherwise
+    promote a float32 latent, and with it the whole training tape."""
     ab = schedule.alpha_bar(t)
     if x0.shape != eps.shape:
         raise ValueError(f"eps shape {eps.shape} != x0 shape {x0.shape}")
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+    x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+    return x_t.astype(x0.dtype, copy=False)
 
 
 # ----------------------------------------------------------------------

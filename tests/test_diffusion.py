@@ -73,6 +73,13 @@ class TestForwardNoise:
         # alpha_bar(999) is tiny, so the clean part nearly vanishes
         np.testing.assert_allclose(out, eps, atol=0.02)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_the_latent_dtype(self, dtype):
+        s = NoiseSchedule(1000)
+        x0 = Rng(1).normal((4, 4)).astype(dtype)
+        eps = Rng(2).normal((4, 4)).astype(dtype)
+        assert forward_noise(x0, 500, eps, s).dtype == dtype
+
     def test_shape_mismatch(self):
         s = NoiseSchedule(10)
         with pytest.raises(ValueError, match="shape"):

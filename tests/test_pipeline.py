@@ -71,22 +71,34 @@ ADAPTER_WEIGHTS = ["den.down4.cross.w_kf", "den.down4.cross.w_of",
                    "den.down4.cross.w_vf"]
 
 
-def trained_pipe(tmp_path, monkeypatch):
-    """Train a small pipeline, recording what each adamw_step was given."""
-    cfg = small_config(tmp_path)
+def trained_pipe(tmp_path, monkeypatch, **kw):
+    """Train a small pipeline, recording what each adamw_step was given
+    and the dtypes it saw: of every op output, and of each updated
+    weight's gradient and moments."""
+    cfg = small_config(tmp_path, **kw)
     generate_dataset(cfg.data_dir, seed=cfg.seed, counts=[1, 2],
                      image_size=cfg.image_size)
     pipe = Pipeline(cfg)
     pipe.init_ip_weights(None, seed=cfg.seed + 7)
-    calls, real_adamw = [], pipeline.adamw_step
+    calls, dtypes = [], {"nodes": set(), "adamw": set()}
+    real_adamw, real_node = pipeline.adamw_step, tensor._node
 
     def spy(params, **kwargs):
         calls.append([(p.name, p.tensor.requires_grad) for p in params])
+        grads = [p.grad.dtype for p in params]
         real_adamw(params, **kwargs)
+        dtypes["adamw"].update((p.name, g, p.m.dtype, p.v.dtype)
+                               for p, g in zip(params, grads))
+
+    def node_spy(*args):
+        out = real_node(*args)
+        dtypes["nodes"].add((args[-1], out.dtype))
+        return out
 
     monkeypatch.setattr(pipeline, "adamw_step", spy)
+    monkeypatch.setattr(tensor, "_node", node_spy)
     pipe.train(cfg.data_dir)
-    return pipe, calls
+    return pipe, calls, dtypes
 
 
 def test_fresh_pipeline_is_frozen_and_edit_records_no_tape(pipe, monkeypatch):
@@ -107,7 +119,7 @@ def test_fresh_pipeline_is_frozen_and_edit_records_no_tape(pipe, monkeypatch):
 
 
 def test_train_flags_only_adapter_weights_while_it_runs(tmp_path, monkeypatch):
-    pipe, calls = trained_pipe(tmp_path, monkeypatch)
+    pipe, calls, _ = trained_pipe(tmp_path, monkeypatch)
     assert len(calls) == pipe.config.train_steps
     for seen in calls:
         assert sorted(seen) == [(name, True) for name in ADAPTER_WEIGHTS]
@@ -115,10 +127,23 @@ def test_train_flags_only_adapter_weights_while_it_runs(tmp_path, monkeypatch):
 
 
 def test_only_trained_weights_hold_adamw_moments(tmp_path, monkeypatch):
-    pipe, _ = trained_pipe(tmp_path, monkeypatch)
+    pipe, _, _ = trained_pipe(tmp_path, monkeypatch)
     held = sorted(p.name for p in pipe.all_params()
                   if p.m is not None or p.v is not None)
     assert held == ADAPTER_WEIGHTS
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_train_runs_in_the_config_dtype(tmp_path, monkeypatch, dtype):
+    # from the q-sample to the AdamW update: every op output, gradient
+    # and moment has the parameters' dtype
+    _, _, seen = trained_pipe(tmp_path, monkeypatch, dtype=dtype)
+    ops = {op for op, _ in seen["nodes"]}
+    assert {"mha", "matmul", "silu", "sum"} <= ops
+    assert {dt for _, dt in seen["nodes"]} == {np.dtype(dtype)}
+    assert sorted(name for name, *_ in seen["adamw"]) == ADAPTER_WEIGHTS
+    for name, *arrays in seen["adamw"]:
+        assert arrays == [np.dtype(dtype)] * 3, name
 
 
 def test_condition_shapes_and_detached(pipe):
