@@ -82,11 +82,17 @@ def write_ppm(path, image: np.ndarray):
         f.write(pix.transpose(1, 2, 0).tobytes())
 
 
+# "P6", then width, height and maxval, each after whitespace and `#`
+# comments that run to a line end; one whitespace byte ends the header
+_PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d+)" * 3 + rb"\s")
+
+
 def read_ppm(path) -> np.ndarray:
-    """Binary P6 with maxval 255; one whitespace byte ends the header."""
+    """Binary P6 with maxval 255; one whitespace byte ends the header,
+    and comment lines may stand between its fields."""
     with open(path, "rb") as f:
         blob = f.read()
-    header = re.match(rb"P6\s+(\d+)\s+(\d+)\s+(\d+)\s", blob)
+    header = _PPM_HEADER.match(blob)
     if header is None:
         raise DatasetError(f"{path}: not a binary PPM")
     w, h, maxval = (int(g) for g in header.groups())

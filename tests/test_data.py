@@ -88,6 +88,28 @@ class TestPpm:
         write_ppm(tmp_path / "a.ppm", img)
         np.testing.assert_allclose(read_ppm(tmp_path / "a.ppm"), img, atol=1e-12)
 
+    @pytest.mark.parametrize("header", [
+        b"P6\n# made by hand\n2 2\n255\n",          # before the width
+        b"P6 2 # width, then height\n 2\n255\n",     # between the fields
+        b"P6\n2 2\n# maxval next\r\n# twice\n255\n",  # right before maxval
+    ])
+    def test_comment_lines_in_header(self, tmp_path, header):
+        img = np.full((3, 2, 2), 35 / 255)     # '#' as the first pixel byte
+        write_ppm(tmp_path / "a.ppm", img)
+        payload = (tmp_path / "a.ppm").read_bytes()[len(b"P6\n2 2\n255\n"):]
+        (tmp_path / "c.ppm").write_bytes(header + payload)
+        np.testing.assert_array_equal(read_ppm(tmp_path / "c.ppm"),
+                                      read_ppm(tmp_path / "a.ppm"))
+
+    @pytest.mark.parametrize("blob,field", [
+        (b"P6\n# c\n2 2\n# c\n65535\n" + bytes(24), "maxval"),
+        (b"P6\n# c\n2 2\n# c\n255\n" + bytes(11), "payload"),
+    ])
+    def test_commented_header_still_checked(self, tmp_path, blob, field):
+        (tmp_path / "c.ppm").write_bytes(blob)
+        with pytest.raises(DatasetError, match=f"c.ppm.*{field}"):
+            read_ppm(tmp_path / "c.ppm")
+
     def test_bad_magic(self, tmp_path):
         (tmp_path / "x.ppm").write_bytes(b"P3\n1 1\n255\n000")
         with pytest.raises(DatasetError):
