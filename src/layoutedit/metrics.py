@@ -136,17 +136,6 @@ def load_detection_json(path) -> DetectionSet:
         for i, b in enumerate(doc.get("ground_truth", []))])
 
 
-def save_detection_json(path, image: str, dets: DetectionSet):
-    doc = {
-        "image": image,
-        "detections": [{"box": list(d.box.as_tuple()), "score": d.score}
-                       for d in dets.detections],
-        "ground_truth": [list(b.as_tuple()) for b in dets.ground_truth],
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-
-
 def report(sets, names=None, iou_thresh: float = 0.5) -> dict:
     """Aggregate OA/AP report plus per-image TP/FP/FN breakdown."""
     per_image = []

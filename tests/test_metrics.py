@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from layoutedit.layout import Box4
 from layoutedit.metrics import (Detection, DetectionSet, average_precision,
                                 iou, load_detection_json, match,
-                                object_accuracy, report, save_detection_json)
+                                object_accuracy, report)
 from layoutedit.rng import Rng
 
 
@@ -250,7 +252,10 @@ def test_report_fields():
 def test_detection_json_roundtrip(tmp_path):
     s = DetectionSet([Detection(Box4(0.1, 0.1, 0.4, 0.5), 0.75)],
                      [Box4(0.1, 0.1, 0.4, 0.5), Box4(0.5, 0.5, 0.9, 0.9)])
-    save_detection_json(tmp_path / "d.json", "img.ppm", s)
+    (tmp_path / "d.json").write_text(json.dumps({
+        "image": "img.ppm",
+        "detections": [{"box": [0.1, 0.1, 0.4, 0.5], "score": 0.75}],
+        "ground_truth": [[0.1, 0.1, 0.4, 0.5], [0.5, 0.5, 0.9, 0.9]]}))
     back = load_detection_json(tmp_path / "d.json")
     assert back.detections[0].box == s.detections[0].box
     assert back.detections[0].score == 0.75
