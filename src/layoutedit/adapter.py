@@ -36,9 +36,6 @@ class FuseParams:
         self.layout_stage = CrossAttention("fuse.layout", r, d_i, d_i, d_i, d_i, heads)
         self.text_stage = CrossAttention("fuse.text", r, d_i, d_t, d_i, d_i, heads)
 
-    def params(self):
-        return self.layout_stage.params() + self.text_stage.params()
-
 
 def fuse(params: FuseParams, i_cls_aug: Tensor, t_aug: Tensor,
          f_layout: Tensor) -> Tensor:
@@ -78,14 +75,8 @@ class DualBranchAttention:
         self.w_vf = p("w_vf", d_i, d_z)
         self.w_of = p("w_of", d_z, d_z, zero=True)
 
-    def frozen_params(self):
-        return [self.w_q, self.w_kt, self.w_vt, self.w_ot]
-
     def ip_params(self):
         return [self.w_kf, self.w_vf, self.w_of]
-
-    def params(self):
-        return self.frozen_params() + self.ip_params()
 
 
 def dual_branch_attention(block: DualBranchAttention, z: Tensor,

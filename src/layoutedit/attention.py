@@ -27,9 +27,6 @@ class CrossAttention:
         self.w_v = _proj(f"{name}.w_v", rng, d_kv_in, d_attn)
         self.w_o = _proj(f"{name}.w_o", rng, d_attn, d_out)
 
-    def params(self):
-        return [self.w_q, self.w_k, self.w_v, self.w_o]
-
     def __call__(self, f1: Tensor, f2: Tensor) -> Tensor:
         q = linear(f1, self.w_q.tensor)
         k = linear(f2, self.w_k.tensor)
@@ -60,9 +57,6 @@ class AttentionPool(CrossAttention):
                          rng.spawn(f"{name}.pos").normal((n_tokens + 1, d_in),
                                                          std=1.0 / np.sqrt(d_in)))
         super().__init__(name, rng, d_in, d_in, d_in, d_out, heads)
-
-    def params(self):
-        return [self.pos] + super().params()
 
     def __call__(self, x: Tensor) -> Tensor:
         mean = x.mean(axis=0, keepdims=True)

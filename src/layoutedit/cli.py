@@ -21,7 +21,7 @@ from .layout import LayoutError, load_layout_json
 from .metrics import DetectionSet, load_detection_json, report
 from .qlt import QltError, read_manifest, save_qlt
 from .rng import Rng
-from .tensor import NumericsError, Tensor
+from .tensor import NumericsError, Tensor, params_of
 
 VALIDATION_ERRORS = (ConfigError, DatasetError, LayoutError, VocabError,
                      QltError, OSError, ValueError, KeyError)
@@ -207,12 +207,9 @@ def cmd_gradcheck(args) -> int:
     def denoiser_scalar():
         return head_d(pipe.denoiser.forward(Tensor(latent), 7, bundle))
 
-    groups = []
-    for p in (pipe.image_encoder.params() + pipe.text_encoder.params()
-              + pipe.adapter_head_params()):
-        groups.append((p, head_scalar))
-    for p in pipe.denoiser.all_params():
-        groups.append((p, denoiser_scalar))
+    denoiser = params_of(pipe.denoiser)
+    groups = [(p, head_scalar) for p in params_of(pipe) if p not in denoiser]
+    groups += [(p, denoiser_scalar) for p in denoiser]
 
     failed = 0
     check_rng = Rng(cfg.seed).spawn("entries")

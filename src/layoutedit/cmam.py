@@ -24,10 +24,6 @@ class CmamParams:
         self.fc_b = Param("cmam.fc_b", np.zeros(d_t))
         self.image_to_text = CrossAttention("cmam.i2t", r, d_i, d_t, d_i, d_i, heads)
 
-    def params(self):
-        return (self.mhsa.params() + self.text_to_image.params()
-                + [self.fc_w, self.fc_b] + self.image_to_text.params())
-
 
 def cmam_forward(params: CmamParams, text: Tensor, i_cls: Tensor):
     """Return (enriched text [n_t, d_t], enriched image feature [d_i])."""

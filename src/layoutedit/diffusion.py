@@ -17,7 +17,7 @@ from .adapter import ConditionBundle, DualBranchAttention, dual_branch_attention
 from .attention import SelfAttention, _proj
 from .config import RunConfig
 from .rng import Rng
-from .tensor import NumericsError, Param, Tensor, add, linear, silu
+from .tensor import NumericsError, Param, Tensor, add, linear, params_of, silu
 
 BLOCK_NAMES = ("down1", "down2", "down3", "down4", "mid",
                "up1", "up2", "up3", "up4")
@@ -97,10 +97,6 @@ class DenoiserBlock:
         self.attn.w_o.tensor.data *= 0.2
         self.cross.w_ot.tensor.data *= 0.2
 
-    def backbone_params(self):
-        return ([self.w1, self.b1, self.w2] + self.attn.params()
-                + self.cross.frozen_params())
-
     def forward(self, x: Tensor, bundle: ConditionBundle, lam: float,
                 weights_out: dict | None = None) -> Tensor:
         x = add(x, linear(silu(linear(x, self.w1.tensor, self.b1.tensor)),
@@ -149,26 +145,14 @@ class DenoiserState:
             return 1.0
         return self.config.injection.ip_scale
 
-    def backbone_params(self):
-        ps = [self.w_in, self.pos, self.w_time, self.b_time,
-              self.w_out, self.b_out]
-        for name in BLOCK_NAMES:
-            ps += self.blocks[name].backbone_params()
-        return ps
-
-    def ip_params(self, sites=None):
-        sites = self.active_sites() if sites is None else sites
-        ps = []
-        for name in sites:
-            ps += self.blocks[name].cross.ip_params()
-        return ps
-
-    def all_params(self):
-        return self.backbone_params() + self.ip_params(BLOCK_NAMES)
+    def ip_params(self):
+        """The adapter-branch weights at the active sites: all that trains."""
+        return [p for name in self.active_sites()
+                for p in self.blocks[name].cross.ip_params()]
 
     def set_trainable(self):
         """Freeze everything except the adapter branch at active sites."""
-        for p in self.all_params():
+        for p in params_of(self):
             p.tensor.requires_grad = False
         for p in self.ip_params():
             p.tensor.requires_grad = True

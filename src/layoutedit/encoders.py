@@ -58,9 +58,6 @@ class ImageEncoder:
         self.attn = SelfAttention("img.attn", r, d_i, d_i, heads)
         self.pool = AttentionPool("img.pool", r, h * w, d_i, d_i, heads)
 
-    def params(self):
-        return [self.w_patch, self.b_patch, self.pos] + self.attn.params() + self.pool.params()
-
     def encode(self, image: Tensor) -> ImageEncoding:
         c, hh, ww = image.shape
         p = self.patch_size
@@ -93,9 +90,6 @@ class TextEncoder:
         # The empty token is a dedicated learned row, never all-zero.
         self.emb = Param("txt.emb", r.spawn("emb").normal((len(self.vocab), d_t), std=1.0))
         self.pos = Param("txt.pos", r.spawn("pos").normal((self.MAX_LEN, d_t), std=0.1))
-
-    def params(self):
-        return [self.emb, self.pos]
 
     def tokenize(self, caption: str) -> list:
         """Whitespace tokenization; empty prompt -> the empty token."""

@@ -32,10 +32,6 @@ class IlfmParams:
         self.w_vl = _proj("ilfm.w_vl", r, d_l, d_i)
         self.pool = AttentionPool("ilfm.pool", r, n_patches, d_i, d_i, heads)
 
-    def params(self):
-        return ([self.norm_gain, self.norm_bias, self.w_qi, self.w_ki,
-                 self.w_vi, self.w_kl, self.w_vl] + self.pool.params())
-
 
 def ilfm_forward(params: IlfmParams, patches: Tensor, grid: tuple,
                  layout: LayoutSet, embedder: LayoutEmbedder,

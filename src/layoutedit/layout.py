@@ -86,9 +86,6 @@ class LayoutEmbedder:
         self.w_p = Param("layout.w_p",
                          rng.spawn("layout.w_p").normal((d_l, d_i), std=1.0 / np.sqrt(d_l)))
 
-    def params(self):
-        return [self.w_l, self.w_p]
-
     def embed(self, boxes) -> Tensor:
         """Rows of box coordinates times W_L."""
         if isinstance(boxes, LayoutSet):

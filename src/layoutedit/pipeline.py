@@ -21,7 +21,7 @@ from .ilfm import IlfmParams, ilfm_forward
 from .layout import LayoutEmbedder, build_layout, load_layout_json
 from .qlt import QltError, load_checkpoint, load_qlt, save_checkpoint
 from .rng import Rng
-from .tensor import Tensor, adamw_step
+from .tensor import Tensor, adamw_step, params_of
 
 
 class Pipeline:
@@ -40,21 +40,13 @@ class Pipeline:
         self.fuse = FuseParams(config.d_i, config.d_t, config.heads, rng)
         self.denoiser = DenoiserState(config, rng)
         dtype = np.float32 if config.dtype == "float32" else np.float64
-        for p in self.all_params():
+        for p in params_of(self):
             p.set_dtype(dtype)
 
     # ------------------------------------------------------------------
-    def adapter_head_params(self):
-        return (self.embedder.params() + self.ilfm.params()
-                + self.cmam.params() + self.fuse.params())
-
-    def all_params(self):
-        return (self.image_encoder.params() + self.text_encoder.params()
-                + self.adapter_head_params() + self.denoiser.all_params())
-
     def named_params(self) -> dict:
         out = {}
-        for p in self.all_params():
+        for p in params_of(self):
             if p.name in out:
                 raise ValueError(f"duplicate parameter name {p.name}")
             out[p.name] = p

@@ -471,6 +471,21 @@ class Param:
         self.tensor.data = self.tensor.data.astype(dtype)
 
 
+def params_of(obj) -> list:
+    """Every Param reachable from `obj` through dict values and instance
+    attributes, in attribute order. Lists and tuples are not searched:
+    no module keeps its Params in one."""
+    if isinstance(obj, Param):
+        return [obj]
+    if isinstance(obj, dict):
+        children = obj.values()
+    elif hasattr(obj, "__dict__"):
+        children = vars(obj).values()
+    else:
+        return []
+    return [p for child in children for p in params_of(child)]
+
+
 def adamw_step(params, lr: float = 2.5e-4, betas=(0.9, 0.999),
                eps: float = 1e-8, weight_decay: float = 0.0):
     """Decoupled-weight-decay Adam update with bias-corrected moments."""

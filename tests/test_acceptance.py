@@ -27,7 +27,7 @@ from layoutedit.qlt import load_qlt
 from layoutedit.rng import Rng
 from layoutedit.tensor import (Param, Tensor, add, concat, exp, layer_norm,
                                linear, log, masked_softmax, matmul, mha, mul,
-                               power, silu, softmax, tsum)
+                               params_of, power, silu, softmax, tsum)
 
 from test_metrics import OA_CASES, oracle_ap, random_sets
 
@@ -93,7 +93,7 @@ def _module_cases(seed):
     patches = Tensor(r.spawn("patches").normal((4, 8)))
     layout = build_layout([Box4(0.1, 0.1, 0.5, 0.6)], max_n=2)
     h1 = projection_head(r, "h1")
-    cases.append(("ilfm", ilfm.params() + emb.params(),
+    cases.append(("ilfm", params_of(ilfm) + params_of(emb),
                   lambda: h1(ilfm_forward(ilfm, patches, (2, 2), layout,
                                           emb))))
 
@@ -107,12 +107,12 @@ def _module_cases(seed):
         tp, ip = cmam_forward(cmam, text, cls)
         return h2(tp) + h3(ip)
 
-    cases.append(("cmam", cmam.params(), cmam_scalar))
+    cases.append(("cmam", params_of(cmam), cmam_scalar))
 
     fp = FuseParams(8, 4, 2, r.spawn("fuse"))
     f_layout = Tensor(r.spawn("fl").normal((8,)))
     h4 = projection_head(r, "h4")
-    cases.append(("fuse", fp.params(),
+    cases.append(("fuse", params_of(fp),
                   lambda: h4(fuse(fp, cls, text, f_layout))))
 
     blk = DualBranchAttention("dba", 8, 4, 8, 2, r.spawn("dba"))
@@ -120,7 +120,7 @@ def _module_cases(seed):
     z = Tensor(r.spawn("z").normal((4, 8)))
     f_tok = Tensor(r.spawn("f").normal((1, 8)))
     h5 = projection_head(r, "h5")
-    cases.append(("dual_branch", blk.params(),
+    cases.append(("dual_branch", params_of(blk),
                   lambda: h5(dual_branch_attention(blk, z, text, f_tok, 0.8))))
 
     cfg = RunConfig(seed=seed, d_i=8, d_t=4, d_l=4, d_model=8, heads=2,
@@ -132,7 +132,7 @@ def _module_cases(seed):
     latent = Tensor(r.spawn("latent").normal((den.n_tokens, den.d_latent)))
     bundle = ConditionBundle(f_t=text, f=f_tok, lam=0.8)
     h6 = projection_head(r, "h6")
-    cases.append(("denoiser", den.all_params(),
+    cases.append(("denoiser", params_of(den),
                   lambda: h6(den.forward(latent, 3, bundle))))
     return cases
 
@@ -453,7 +453,7 @@ def _golden_ilfm(dtype):
     emb = LayoutEmbedder(8, 16, rng.spawn("emb"))
     patches = rng.spawn("patches").normal((16, 16))
     if dtype == np.float32:
-        for p in params.params() + emb.params():
+        for p in params_of(params) + params_of(emb):
             p.set_dtype(np.float32)
         patches = patches.astype(np.float32)
     return ilfm_forward(params, Tensor(patches), (4, 4),
@@ -465,7 +465,7 @@ def _golden_cmam(dtype):
     text = Rng(4).normal((5, 8))
     cls = Rng(5).normal((16,))
     if dtype == np.float32:
-        for p in params.params():
+        for p in params_of(params):
             p.set_dtype(np.float32)
         text = text.astype(np.float32)
         cls = cls.astype(np.float32)

@@ -5,7 +5,7 @@ from conftest import assert_grad_matches
 from layoutedit.adapter import (ConditionBundle, DualBranchAttention,
                                 FuseParams, dual_branch_attention, fuse)
 from layoutedit.rng import Rng
-from layoutedit.tensor import Tensor
+from layoutedit.tensor import Tensor, params_of
 
 D_Z, D_T, D_I, HEADS = 16, 8, 16, 2
 
@@ -79,7 +79,7 @@ class TestDualBranch:
             out = dual_branch_attention(block, z, f_t, f, 0.8)
             return (out * Tensor(r)).sum()
 
-        for p in block.ip_params() + block.frozen_params():
+        for p in params_of(block):
             p.tensor.requires_grad = True
             assert_grad_matches(scalar, p.tensor)
             p.tensor.requires_grad = False
@@ -94,7 +94,7 @@ class TestFuse:
         out = fuse(params, i_cls, t_aug, f_layout)
         assert out.shape == (1, D_I)
         r = Rng(11).normal((1, D_I))
-        for p in params.params():
+        for p in params_of(params):
             p.tensor.requires_grad = True
             assert_grad_matches(
                 lambda: (fuse(params, i_cls, t_aug, f_layout) * Tensor(r)).sum(),

@@ -4,7 +4,7 @@ import pytest
 from conftest import assert_grad_matches
 from layoutedit.cmam import CmamParams, cmam_forward
 from layoutedit.rng import Rng
-from layoutedit.tensor import Tensor
+from layoutedit.tensor import Tensor, params_of
 
 D_T, D_I, HEADS = 8, 16, 2
 
@@ -78,7 +78,7 @@ def test_grads_through_all_params(params):
         t_prime, i_prime = cmam_forward(params, Tensor(text), Tensor(i_cls))
         return ((t_prime * Tensor(rt)).sum() + (i_prime * Tensor(ri)).sum())
 
-    for p in params.params():
+    for p in params_of(params):
         p.tensor.requires_grad = True
         assert_grad_matches(scalar, p.tensor)
         p.tensor.requires_grad = False

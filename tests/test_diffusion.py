@@ -8,7 +8,7 @@ from layoutedit.diffusion import (BLOCK_NAMES, DenoiserState, NoiseSchedule,
                                   latent_to_image, sample, timestep_embedding,
                                   training_step)
 from layoutedit.rng import Rng
-from layoutedit.tensor import NumericsError, Tensor
+from layoutedit.tensor import NumericsError, Tensor, params_of
 
 
 def small_config(**kw):
@@ -150,8 +150,8 @@ class TestDenoiserForward:
         names = sorted(p.name for p in trainable)
         assert names == ["den.down4.cross.w_kf", "den.down4.cross.w_of",
                          "den.down4.cross.w_vf"]
-        for p in st.backbone_params():
-            assert not p.tensor.requires_grad
+        for p in params_of(st):
+            assert p.tensor.requires_grad == (p.name in names), p.name
 
 
 # ---------------------------------------------------------------- training
@@ -284,7 +284,7 @@ class TestSample:
 
     def test_output_dtype_follows_config(self):
         st = small_state(dtype="float32")
-        for p in st.all_params():
+        for p in params_of(st):
             p.set_dtype(np.float32)
         out = sample(st, random_bundle(st), w=1.0, steps=2, rng=Rng(12))
         assert out.dtype == np.float32

@@ -5,7 +5,7 @@ from conftest import assert_grad_matches
 from layoutedit.ilfm import IlfmParams, ilfm_forward
 from layoutedit.layout import Box4, LayoutEmbedder, build_layout
 from layoutedit.rng import Rng
-from layoutedit.tensor import Tensor
+from layoutedit.tensor import Tensor, params_of
 
 
 D_I, D_L, HEADS = 16, 8, 2
@@ -85,7 +85,7 @@ def test_grads_through_all_params(setup):
     def scalar():
         return (fwd(setup, layout) * Tensor(r)).sum()
 
-    for p in params.params():
+    for p in params_of(params):
         p.tensor.requires_grad = True
         assert_grad_matches(scalar, p.tensor)
         p.tensor.requires_grad = False

@@ -13,7 +13,7 @@ from layoutedit.layout import build_layout
 from layoutedit.pipeline import Pipeline, load_image
 from layoutedit.qlt import QltError, save_checkpoint
 from layoutedit.rng import Rng
-from layoutedit.tensor import Tensor
+from layoutedit.tensor import Param, Tensor, params_of
 
 
 def small_config(tmp_path, **kw):
@@ -102,8 +102,8 @@ def trained_pipe(tmp_path, monkeypatch, **kw):
 
 
 def test_fresh_pipeline_is_frozen_and_edit_records_no_tape(pipe, monkeypatch):
-    assert [p.name for p in pipe.all_params() if p.tensor.requires_grad] == []
-    assert all(p.m is None and p.v is None for p in pipe.all_params())
+    assert [p.name for p in params_of(pipe) if p.tensor.requires_grad] == []
+    assert all(p.m is None and p.v is None for p in params_of(pipe))
     tape, real_node = [], tensor._node
 
     def counting_node(*args):
@@ -123,12 +123,12 @@ def test_train_flags_only_adapter_weights_while_it_runs(tmp_path, monkeypatch):
     assert len(calls) == pipe.config.train_steps
     for seen in calls:
         assert sorted(seen) == [(name, True) for name in ADAPTER_WEIGHTS]
-    assert [p.name for p in pipe.all_params() if p.tensor.requires_grad] == []
+    assert [p.name for p in params_of(pipe) if p.tensor.requires_grad] == []
 
 
 def test_only_trained_weights_hold_adamw_moments(tmp_path, monkeypatch):
     pipe, _, _ = trained_pipe(tmp_path, monkeypatch)
-    held = sorted(p.name for p in pipe.all_params()
+    held = sorted(p.name for p in params_of(pipe)
                   if p.m is not None or p.v is not None)
     assert held == ADAPTER_WEIGHTS
 
@@ -179,6 +179,18 @@ def test_save_load_roundtrip(pipe, tmp_path):
     mine = pipe.named_params()
     for name, p in other.named_params().items():
         np.testing.assert_array_equal(p.data, mine[name].data)
+
+
+def test_param_attached_later_is_found_saved_and_loaded(pipe, tmp_path):
+    # no hand-kept list has to learn about a new weight
+    extra = Rng(8).normal((2, 3)).astype(np.float32)
+    pipe.cmam.extra = Param("cmam.extra", extra)
+    assert pipe.named_params()["cmam.extra"] is pipe.cmam.extra
+    pipe.save(tmp_path / "ckpt")
+    other = Pipeline(small_config(tmp_path, seed=99))
+    other.cmam.extra = Param("cmam.extra", np.zeros((2, 3)))
+    other.load(tmp_path / "ckpt")
+    np.testing.assert_array_equal(other.cmam.extra.data, extra)
 
 
 def test_load_missing_param(pipe, tmp_path):

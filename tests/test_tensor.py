@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from layoutedit import tensor as T
 from layoutedit.rng import Rng
 from layoutedit.tensor import (NumericsError, Param, ShapeError, Tensor,
                                adamw_step, concat, layer_norm, masked_softmax,
-                               matmul, mha, softmax)
+                               matmul, mha, params_of, softmax)
 
 
 class TestMatmul:
@@ -247,6 +249,15 @@ class TestAdamW:
             p.tensor.grad = np.array([2 * (x - 3.0), 4 * (y + 1.0)])
             adamw_step([p], lr=0.05)
         np.testing.assert_allclose(p.data, [3.0, -1.0], atol=1e-3)
+
+
+def test_params_of_walks_attributes_and_dict_values_in_order():
+    a, b, c, d = (Param(n, np.zeros(1)) for n in "abcd")
+    inner = SimpleNamespace(b=b, size=3, name="inner")
+    outer = SimpleNamespace(a=a, blocks={"x": inner, "y": {"c": c}},
+                            listed=[d], arr=np.zeros(2))
+    assert params_of(outer) == [a, b, c]
+    assert params_of(a) == [a] and params_of(3) == []
 
 
 class TestNumerics:
