@@ -16,7 +16,7 @@ from .config import INJECTION_SITES, MODEL_FIELDS, ConfigError, RunConfig
 from .data import DatasetError, caption_for, generate_dataset, write_ppm
 from .diffusion import BLOCK_NAMES
 from .encoders import VocabError
-from .gradcheck import REL_TOL, check_param_group, projection_head
+from .gradcheck import REL_TOL, audit, projection_head
 from .layout import LayoutError, load_layout_json
 from .metrics import DetectionSet, load_detection_json, report
 from .qlt import QltError, read_manifest, save_qlt
@@ -211,17 +211,15 @@ def cmd_gradcheck(args) -> int:
     groups = [(p, head_scalar) for p in params_of(pipe) if p not in denoiser]
     groups += [(p, denoiser_scalar) for p in denoiser]
 
-    failed = 0
-    check_rng = Rng(cfg.seed).spawn("entries")
+    reports = audit(groups, Rng(cfg.seed).spawn("entries"), args.entries,
+                    corrupt=args.corrupt)
     print(f"{'parameter group':40s} {'max rel err':>12s}  result")
-    for p, fn in groups:
-        rep = check_param_group(fn, p, check_rng, max_entries=args.entries,
-                                corrupt=(p.name == args.corrupt))
-        ok = rep.passed
-        failed += 0 if ok else 1
-        print(f"{rep.name:40s} {rep.max_rel_err:12.3e}  "
-              f"{'pass' if ok else 'FAIL'}")
-    print(f"{len(groups)} groups checked, {failed} failed (tol {REL_TOL})")
+    for rep in reports:
+        print(f"{rep.name:40s} {rep.max_rel_err:12.3e}  {rep.result}")
+    failed = sum(not rep.passed for rep in reports)
+    print(f"{len(reports)} groups checked, {failed} failed, "
+          f"{sum(rep.zero for rep in reports)} with an all-zero gradient "
+          f"(tol {REL_TOL})")
     return 0 if failed == 0 else 2
 
 

@@ -3,7 +3,8 @@
 Central differences at step 1e-3 in double precision against a scalar
 head (fixed random projection of the module output). Large parameter
 groups are subsampled entry-wise; every checked entry must agree within
-the relative tolerance.
+the relative tolerance. A group whose tape gradient is exactly zero passes
+trivially and is reported as such.
 """
 from __future__ import annotations
 
@@ -37,10 +38,15 @@ class GroupReport:
     name: str
     max_rel_err: float
     entries: int
+    zero: bool          # the tape gradient is exactly zero everywhere
 
     @property
     def passed(self) -> bool:
         return self.max_rel_err < REL_TOL
+
+    @property
+    def result(self) -> str:
+        return "FAIL" if not self.passed else "zero" if self.zero else "pass"
 
 
 def check_param_group(fn, param: Param, rng: Rng, max_entries: int = 8,
@@ -55,6 +61,7 @@ def check_param_group(fn, param: Param, rng: Rng, max_entries: int = 8,
     grad = param.tensor.grad
     if grad is None:
         grad = np.zeros_like(param.data)
+    zero = not grad.any()
     if corrupt:
         grad = grad + 1.0
     flat = param.data.reshape(-1)
@@ -68,7 +75,15 @@ def check_param_group(fn, param: Param, rng: Rng, max_entries: int = 8,
         worst = max(worst, relative_error(float(grad.reshape(-1)[i]), fd))
     param.tensor.requires_grad = was
     param.zero_grad()
-    return GroupReport(name=param.name, max_rel_err=worst, entries=len(picks))
+    return GroupReport(name=param.name, max_rel_err=worst, entries=len(picks),
+                       zero=zero)
+
+
+def audit(groups, rng: Rng, max_entries: int, corrupt: str | None = None) -> list:
+    """Check each (param, scalar_fn) group in order, sampling entries from
+    one `rng`; the group named `corrupt` gets a wrong gradient (test hook)."""
+    return [check_param_group(fn, p, rng, max_entries, corrupt=(p.name == corrupt))
+            for p, fn in groups]
 
 
 def projection_head(rng: Rng, key: str):

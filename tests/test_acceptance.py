@@ -17,7 +17,7 @@ from layoutedit.cmam import CmamParams, cmam_forward
 from layoutedit.config import RunConfig
 from layoutedit.data import generate_dataset
 from layoutedit.diffusion import DenoiserState, guided_eps, training_step
-from layoutedit.gradcheck import REL_TOL, check_param_group, projection_head
+from layoutedit.gradcheck import REL_TOL, audit, projection_head
 from layoutedit.ilfm import IlfmParams, ilfm_forward
 from layoutedit.layout import (Box4, LayoutEmbedder, build_layout, patch_grid)
 from layoutedit.metrics import (Detection, DetectionSet, average_precision,
@@ -141,18 +141,16 @@ def test_criterion_1_gradient_suite():
     start = time.time()
     failures = []
     for seed in range(5):
-        r = Rng(seed).spawn("ops")
-        entry_rng = Rng(seed).spawn("entries")
-        for name, param, fn in _op_cases(r):
-            rep = check_param_group(fn, param, entry_rng, max_entries=2)
-            if not rep.passed:
-                failures.append((seed, name, rep.max_rel_err))
+        labels, groups = [], []
+        for name, param, fn in _op_cases(Rng(seed).spawn("ops")):
+            labels.append(name)
+            groups.append((param, fn))
         for tag, params, fn in _module_cases(seed):
-            for p in params:
-                rep = check_param_group(fn, p, entry_rng, max_entries=2)
-                if not rep.passed:
-                    failures.append((seed, f"{tag}:{p.name}",
-                                     rep.max_rel_err))
+            labels += [f"{tag}:{p.name}" for p in params]
+            groups += [(p, fn) for p in params]
+        reports = audit(groups, Rng(seed).spawn("entries"), max_entries=2)
+        failures += [(seed, label, rep.max_rel_err)
+                     for label, rep in zip(labels, reports) if not rep.passed]
     elapsed = time.time() - start
     assert failures == [], f"gradient failures (tol {REL_TOL}): {failures}"
     assert elapsed < 120.0, f"gradient suite took {elapsed:.1f}s"

@@ -324,9 +324,19 @@ class TestEval:
 class TestGradcheck:
     def test_passes(self, capsys):
         assert main(["gradcheck", "--entries", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "0 failed" in out
-        assert "FAIL" not in out
+        *table, summary = capsys.readouterr().out.splitlines()
+        rows = {line.split()[0]: line.split()[-1] for line in table[1:]}
+        assert len(rows) == 182 and "FAIL" not in rows.values()
+        assert summary.startswith(
+            "182 groups checked, 0 failed, 56 with an all-zero gradient")
+        assert sum(r == "zero" for r in rows.values()) == 56
+        # an inactive site's adapter learns nothing; at down4, w_of starts
+        # at zero, so only w_of gets a gradient there
+        assert rows["den.down1.cross.w_of"] == "zero"
+        assert rows["den.down4.cross.w_vf"] == "zero"
+        assert rows["den.down4.cross.w_of"] == "pass"
+        # only the prompt's rows get a gradient, but the group is not zero
+        assert rows["txt.pos"] == "pass"
 
     def test_corrupt_hook_fails(self, capsys):
         rc = main(["gradcheck", "--entries", "2",
