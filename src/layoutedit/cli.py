@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import INJECTION_SITES, MODEL_FIELDS, ConfigError, RunConfig
+from .config import (INJECTION_SITES, MODEL_FIELDS, ConfigError, RunConfig,
+                     read_json_object)
 from .data import DatasetError, caption_for, generate_dataset, write_ppm
 from .diffusion import BLOCK_NAMES
 from .encoders import VocabError
@@ -99,13 +100,19 @@ def _load_layout(path):
 
 
 def _parse_counts(spec: str) -> list:
+    """'1-10', '2,4,6' or a mix of both: the listed counts, in order."""
     out = []
     for part in spec.split(","):
-        if "-" in part:
-            a, b = part.split("-", 1)
-            out.extend(range(int(a), int(b) + 1))
-        else:
-            out.append(int(part))
+        a, dash, b = part.partition("-")
+        try:
+            lo = int(a)
+            hi = int(b) if dash else lo
+        except ValueError:
+            raise ConfigError(f"--counts: {part!r} is neither an integer nor "
+                              f"a range a-b") from None
+        if hi < lo:
+            raise ConfigError(f"--counts: range {part!r} is empty")
+        out.extend(range(lo, hi + 1))
     return out
 
 
@@ -162,10 +169,8 @@ def cmd_eval(args) -> int:
         raise ValueError(f"prediction files without ground truth: {sorted(stray)}")
     sets, names = [], []
     for g in gt_files:
-        with open(g) as f:
-            gt_raw = json.load(f)
-        if isinstance(gt_raw, dict) and "boxes" in gt_raw:   # layout schema
-            ground_truth = load_layout_json(g)["boxes"]
+        if "boxes" in read_json_object(g, LayoutError, "ground truth"):
+            ground_truth = load_layout_json(g)["boxes"]     # layout schema
         else:    # detection schema; without ground_truth, as oracle truth
             gt = load_detection_json(g)
             ground_truth = gt.ground_truth or [d.box for d in gt.detections]

@@ -18,6 +18,19 @@ class ConfigError(ValueError):
     """Raised on invalid configuration values."""
 
 
+def read_json_object(path, error: type, what: str) -> dict:
+    """Parse the JSON object in `path`. Invalid JSON, or a document that
+    is not an object, raises `error` naming the path."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except ValueError as e:     # JSON and text decoding errors
+        raise error(f"{path}: invalid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: {what} must be a JSON object, got {doc!r:.40}")
+    return doc
+
+
 # Accepted value types per field annotation; bool is not a number here.
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
@@ -120,8 +133,11 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        doc = read_json_object(path, ConfigError, "config")
+        try:
+            return cls.from_dict(doc)
+        except ConfigError as e:
+            raise ConfigError(f"{path}: {e}") from None
 
     def apply_env(self) -> "RunConfig":
         """QL_SEED overrides the configured seed."""

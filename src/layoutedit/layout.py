@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import read_json_object
 from .rng import Rng
 from .tensor import Param, Tensor, linear, matmul
 
@@ -113,10 +114,7 @@ def parse_box(b, where: str) -> Box4:
 
 def load_layout_json(path) -> dict:
     """Read the layout schema: image/width/height/category/count/boxes."""
-    with open(path) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise LayoutError(f"{path}: layout must be a JSON object")
+    doc = read_json_object(path, LayoutError, "layout")
     for key in ("boxes", "count", "category"):
         if key not in doc:
             raise LayoutError(f"{path}: missing '{key}'")

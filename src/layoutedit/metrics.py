@@ -1,11 +1,11 @@
 """Count/layout evaluation: IoU, greedy matching, AP, object accuracy."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import read_json_object
 from .layout import Box4, LayoutError, parse_box
 
 
@@ -112,10 +112,7 @@ def average_precision(sets, iou_thresh: float = 0.5) -> float:
 def load_detection_json(path) -> DetectionSet:
     """Schema: {"image", "detections": [{"box", "score"}...],
     "ground_truth": [[x0,y0,x1,y1]...]}."""
-    with open(path) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise LayoutError(f"{path}: detection file must be a JSON object")
+    doc = read_json_object(path, LayoutError, "detection file")
     for key in ("detections", "ground_truth"):
         if not isinstance(doc.get(key, []), list):
             raise LayoutError(f"{path}: '{key}' must be a list")

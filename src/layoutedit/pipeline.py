@@ -12,8 +12,8 @@ import numpy as np
 
 from .adapter import ConditionBundle, FuseParams, fuse
 from .cmam import CmamParams, cmam_forward
-from .config import RunConfig
-from .data import caption_for, read_ppm
+from .config import RunConfig, read_json_object
+from .data import DatasetError, caption_for, read_ppm
 from .diffusion import (DenoiserState, image_to_latent, latent_to_image,
                         sample, training_step)
 from .encoders import ImageEncoder, TextEncoder
@@ -137,8 +137,12 @@ class Pipeline:
         when `log_path` is given.
         """
         data_dir = Path(data_dir)
-        with open(data_dir / "index.json") as f:
-            names = json.load(f)["scenes"]
+        index = data_dir / "index.json"
+        names = read_json_object(index, DatasetError, "index").get("scenes")
+        if not (isinstance(names, list) and names
+                and all(isinstance(n, str) for n in names)):
+            raise DatasetError(f"{index}: 'scenes' must be a non-empty list "
+                               f"of scene names, got {names!r:.40}")
         scenes = [self.load_scene(data_dir, n) for n in names]
         steps = steps if steps is not None else self.config.train_steps
         rng = Rng(self.config.seed).spawn("train")

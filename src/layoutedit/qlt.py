@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_json_object
+
 MAGIC = b"QLT1"
 
 
@@ -77,13 +79,7 @@ def read_manifest(directory) -> dict:
     mpath = Path(directory) / "manifest.json"
     if not mpath.exists():
         raise QltError(f"no manifest.json in {directory}")
-    try:
-        with open(mpath) as f:
-            manifest = json.load(f)
-    except ValueError as e:     # JSON and text decoding errors
-        raise QltError(f"{mpath}: invalid JSON: {e}") from None
-    if not isinstance(manifest, dict):
-        raise QltError(f"{mpath}: manifest must be a JSON object")
+    manifest = read_json_object(mpath, QltError, "manifest")
     if not isinstance(manifest.get("tensors"), dict):
         raise QltError(f"{mpath}: 'tensors' must be an object")
     return manifest

@@ -48,6 +48,25 @@ class TestSynth:
         index = json.loads((tmp_path / "data" / "index.json").read_text())
         assert len(index["scenes"]) == 2
 
+    @pytest.mark.parametrize("spec", ["5-2", "x", "", "1-x", "3,,4"])
+    def test_bad_counts_name_the_flag(self, tmp_path, capsys, spec):
+        cfg = small_config_file(tmp_path)
+        assert main(["synth", "--config", cfg, "--counts", spec]) == 1
+        assert "--counts" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("text,field", [
+        ("[1]", "JSON object"), ("null", "JSON object"),
+        ('"x"', "JSON object"), ("{not json", "invalid JSON"),
+        ('{"bogus": 1}', "bogus"),
+    ])
+    def test_bad_config_file_names_it(self, tmp_path, capsys, text, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["synth", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and field in err
+
     @pytest.mark.parametrize("argv,flag", [
         (["synth", "--heads", "4"], "--heads"),
         (["train", "--injection", "down9"], "--injection"),
@@ -103,6 +122,19 @@ class TestTrainAndEdit:
         img = load_qlt(out_base.with_suffix(".qlt"))
         assert img.shape == (3, 16, 16)
         assert out_base.with_suffix(".ppm").exists()
+
+    @pytest.mark.parametrize("text,field", [
+        ("[]", "JSON object"), ('{"scenes": 3}', "'scenes'"),
+        ("{}", "'scenes'"), ('{"scenes": []}', "'scenes'"),
+        ('{"scenes": [1]}', "'scenes'"), ("{not json", "invalid JSON"),
+    ])
+    def test_bad_index_names_it(self, tmp_path, capsys, text, field):
+        cfg = run_synth(tmp_path)
+        index = tmp_path / "data" / "index.json"
+        index.write_text(text)
+        assert main(["train", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert str(index) in err and field in err
 
     @pytest.mark.parametrize("name,blob,field", [
         ("short.qlt", b"QLT1", "header"),
@@ -312,6 +344,16 @@ class TestEval:
         assert rc == 1
         err = capsys.readouterr().err
         assert str(tmp_path / bad / "a.json") in err and field in err
+
+    @pytest.mark.parametrize("bad", ["gt", "pred"])
+    def test_invalid_json_names_file(self, tmp_path, capsys, bad):
+        self.write_gt(tmp_path / "gt", "a", [(0.1, 0.1, 0.4, 0.4)])
+        self.write_pred(tmp_path / "pred", "a", [(0.1, 0.1, 0.4, 0.4)], [0.9])
+        (tmp_path / bad / "a.json").write_text("{not json")
+        rc = main(["eval", "--pred-dir", str(tmp_path / "pred"),
+                   "--gt-dir", str(tmp_path / "gt")])
+        assert rc == 1
+        assert f"{tmp_path / bad / 'a.json'}: invalid JSON" in capsys.readouterr().err
 
     def test_empty_gt_dir_rejected(self, tmp_path):
         (tmp_path / "gt").mkdir()

@@ -123,3 +123,10 @@ def test_bad_layout_json_names_file_and_field(tmp_path, doc, field):
     with pytest.raises(LayoutError, match="bad.json") as info:
         load_layout_json(path)
     assert field in str(info.value)
+
+
+def test_invalid_layout_json_names_file(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    with pytest.raises(LayoutError, match="bad.json: invalid JSON"):
+        load_layout_json(path)
