@@ -135,7 +135,13 @@ class Pipeline:
         Only these weights are flagged trainable, and only while this
         runs. Returns the per-step loss list; writes a JSON-lines log
         when `log_path` is given.
+
+        Each step frees its tape when backward returns. So that the next
+        step reuses those pages rather than faulting them in again, this
+        first raises glibc's mmap and trim thresholds (`_keep_freed_memory`).
+        That setting is process-wide and stays set after `train` returns.
         """
+        _keep_freed_memory()
         data_dir = Path(data_dir)
         index = data_dir / "index.json"
         names = read_json_object(index, DatasetError, "index").get("scenes")
@@ -178,6 +184,21 @@ class Pipeline:
                         self.config.sample_steps, rng)
         return latent_to_image(latent, self.config.image_size,
                                self.denoiser.factor)
+
+
+def _keep_freed_memory():
+    """Keep freed heap in this process instead of returning it to the OS.
+
+    Raises glibc's mmap threshold to 64 MiB and its trim threshold to
+    256 MiB (`mallopt`), process-wide. A no-op where libc has no `mallopt`.
+    """
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 64 << 20)     # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)    # M_TRIM_THRESHOLD
 
 
 def load_image(path) -> np.ndarray:

@@ -73,22 +73,29 @@ class Tensor:
 
     # ------------------------------------------------------------------
     def backward(self, grad=None):
-        """Accumulate gradients into every reachable requires_grad leaf."""
+        """Accumulate gradients into every reachable requires_grad leaf.
+
+        The walk is iterative, so tape depth is not bounded by Python's
+        recursion limit, and it holds no reference cycle: the tape is
+        freed as soon as the caller drops the output.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ShapeError("backward() without grad requires a scalar output")
             grad = np.ones_like(self.data)
-        topo, seen = [], set()
-
-        def visit(t):
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        # Post-order over an explicit stack. Parents are pushed in reverse
+        # so that they are expanded first-to-last, giving the same
+        # topological order (and so the same gradient sums) as a
+        # recursive depth-first walk.
+        topo, seen, stack = [], set(), [(self, False)]
+        while stack:
+            t, expanded = stack.pop()
+            if expanded:
+                topo.append(t)
+            elif id(t) not in seen:
+                seen.add(id(t))
+                stack.append((t, True))
+                stack.extend((p, False) for p in reversed(t._parents))
         grads = {id(self): np.asarray(grad, dtype=self.data.dtype)}
         for t in reversed(topo):
             g = grads.pop(id(t), None)

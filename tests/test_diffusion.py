@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -238,6 +241,23 @@ class TestTrainingStep:
         training_step(st, batch, random_bundle(st), Rng(7))
         assert np.abs(by_name["w_vf"].tensor.grad).sum() > 0
 
+    def test_tape_is_freed_without_the_cyclic_gc(self):
+        st = small_state()
+        st.set_trainable()
+        refs = []
+
+        def model(x_t, t, cond):
+            pred = st.forward(x_t, t, cond)
+            refs.append(weakref.ref(pred.data))     # ndarray: Tensor has no weakref slot
+            return pred
+
+        gc.disable()
+        try:
+            training_step(st, self.make_batch(st, 1), random_bundle(st), Rng(7),
+                          eps_model=model)
+            assert refs[0]() is None
+        finally:
+            gc.enable()
 
 # ---------------------------------------------------------------- sampling
 class TestGuidance:

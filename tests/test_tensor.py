@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import assert_grad_matches, fd_grad, rel_err
 from layoutedit import tensor as T
 from layoutedit.rng import Rng
-from layoutedit.tensor import (NumericsError, Param, ShapeError, Tensor,
+from layoutedit.tensor import (NumericsError, Param, ShapeError, Tensor, add,
                                adamw_step, concat, layer_norm, masked_softmax,
                                matmul, mha, params_of, softmax)
 
@@ -222,6 +222,27 @@ class TestMhaNonFinite:
         with pytest.raises(NumericsError):
             mha(Tensor(np_rng.normal(size=(2, 4))), Tensor(np_rng.normal(size=(3, 4))),
                 Tensor(v), heads=2)
+
+
+class TestBackward:
+    def test_deep_chain_does_not_hit_the_recursion_limit(self):
+        x = Tensor([0.0], requires_grad=True)
+        y = x
+        for _ in range(3000):
+            y = add(y, 1.0)
+        y.sum().backward()
+        np.testing.assert_array_equal(x.grad, [1.0])
+        np.testing.assert_array_equal(y.data, [3000.0])
+
+    def test_diamond_sums_each_path_once_in_topological_order(self):
+        # x reaches the loss through a, b and c. Its gradient arrives in
+        # reverse topological order, c then b then a: (-1e16 + 1e16) + 1
+        # is 1, while any other order of these three terms gives 0, and
+        # counting a path twice gives 2 or more.
+        x = Tensor([1.0], requires_grad=True)
+        a, b, c = x * 1.0, x * 1e16, x * -1e16
+        ((a + b) + c).sum().backward()
+        np.testing.assert_array_equal(x.grad, [1.0])
 
 
 class TestAdamW:
