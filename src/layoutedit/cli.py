@@ -112,6 +112,9 @@ def _parse_counts(spec: str) -> list:
                               f"a range a-b") from None
         if hi < lo:
             raise ConfigError(f"--counts: range {part!r} is empty")
+        if lo < 1 or hi > 10:
+            raise ConfigError(f"--counts: {part!r} is outside the allowed "
+                              f"range 1..10")
         out.extend(range(lo, hi + 1))
     return out
 

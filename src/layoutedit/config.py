@@ -119,13 +119,19 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """Build a config from a JSON document. Unknown keys and wrongly
+        typed values raise here; range checks wait for `validate`, after
+        any flag overrides."""
         d = dict(d)
         inj = d.pop("injection", {})
         _reject_unknown(cls, d, "config")
         if not isinstance(inj, dict):
             raise ConfigError(f"injection must be an object, got {inj!r}")
         _reject_unknown(InjectionConfig, inj, "injection")
-        return cls(**d, injection=InjectionConfig(**inj))
+        cfg = cls(**d, injection=InjectionConfig(**inj))
+        _check_types(cfg)
+        _check_types(cfg.injection, "injection.")
+        return cfg
 
     def save(self, path):
         with open(path, "w") as f:
@@ -143,5 +149,9 @@ class RunConfig:
         """QL_SEED overrides the configured seed."""
         env = os.environ.get("QL_SEED")
         if env is not None:
-            self.seed = int(env)
+            try:
+                self.seed = int(env)
+            except ValueError:
+                raise ConfigError(f"QL_SEED must be an integer, "
+                                  f"got {env!r}") from None
         return self

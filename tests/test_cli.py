@@ -48,17 +48,32 @@ class TestSynth:
         index = json.loads((tmp_path / "data" / "index.json").read_text())
         assert len(index["scenes"]) == 2
 
-    @pytest.mark.parametrize("spec", ["5-2", "x", "", "1-x", "3,,4"])
+    @pytest.mark.parametrize("spec", ["5-2", "x", "", "1-x", "3,,4", "11",
+                                      "0-3", "2,9-12"])
     def test_bad_counts_name_the_flag(self, tmp_path, capsys, spec):
         cfg = small_config_file(tmp_path)
         assert main(["synth", "--config", cfg, "--counts", spec]) == 1
         assert "--counts" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
 
+    def test_count_out_of_range_names_part_and_range(self, tmp_path, capsys):
+        cfg = small_config_file(tmp_path)
+        assert main(["synth", "--config", cfg, "--counts", "1-3,11"]) == 1
+        err = capsys.readouterr().err
+        assert "--counts: '11'" in err and "1..10" in err
+
+    def test_bad_ql_seed_names_the_variable(self, tmp_path, capsys, monkeypatch):
+        cfg = small_config_file(tmp_path)
+        monkeypatch.setenv("QL_SEED", "abc")
+        assert main(["synth", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "QL_SEED" in err and "'abc'" in err
+
     @pytest.mark.parametrize("text,field", [
         ("[1]", "JSON object"), ("null", "JSON object"),
         ('"x"', "JSON object"), ("{not json", "invalid JSON"),
-        ('{"bogus": 1}', "bogus"),
+        ('{"bogus": 1}', "bogus"), ('{"heads": "8"}', "heads must be int"),
+        ('{"injection": {"ip_scale": "1"}}', "injection.ip_scale"),
     ])
     def test_bad_config_file_names_it(self, tmp_path, capsys, text, field):
         path = tmp_path / "cfg.json"

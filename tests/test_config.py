@@ -62,6 +62,12 @@ def test_wrong_type_names_field(doc, field):
         RunConfig.from_dict(doc).validate()
 
 
+def test_range_checks_wait_for_validate():
+    cfg = RunConfig.from_dict({"heads": 0})
+    cfg.heads = 4
+    assert cfg.validate().heads == 4
+
+
 def test_non_object_injection_rejected():
     with pytest.raises(ConfigError, match="injection"):
         RunConfig.from_dict({"injection": "mid"})
@@ -77,3 +83,9 @@ def test_ql_seed_env_override(monkeypatch):
     assert RunConfig(seed=3).apply_env().seed == 41
     monkeypatch.delenv("QL_SEED")
     assert RunConfig(seed=3).apply_env().seed == 3
+
+
+def test_bad_ql_seed_names_the_variable(monkeypatch):
+    monkeypatch.setenv("QL_SEED", "abc")
+    with pytest.raises(ConfigError, match="QL_SEED.*'abc'"):
+        RunConfig().apply_env()
