@@ -136,10 +136,10 @@ class Pipeline:
         runs. Returns the per-step loss list; writes a JSON-lines log
         when `log_path` is given.
 
-        Each step frees its tape when backward returns. So that the next
-        step reuses those pages rather than faulting them in again, this
-        first raises glibc's mmap and trim thresholds (`_keep_freed_memory`).
-        That setting is process-wide and stays set after `train` returns.
+        Each step frees its tape when backward returns; this first calls
+        `_keep_freed_memory` so that the next step reuses those pages
+        instead of faulting them in again. That setting is process-wide
+        and stays set after `train` returns.
         """
         _keep_freed_memory()
         data_dir = Path(data_dir)

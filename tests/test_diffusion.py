@@ -248,7 +248,8 @@ class TestTrainingStep:
 
         def model(x_t, t, cond):
             pred = st.forward(x_t, t, cond)
-            refs.append(weakref.ref(pred.data))     # ndarray: Tensor has no weakref slot
+            # an ndarray on the tape: Tensor's __slots__ have no __weakref__
+            refs.append(weakref.ref(pred.data))
             return pred
 
         gc.disable()
@@ -258,6 +259,7 @@ class TestTrainingStep:
             assert refs[0]() is None
         finally:
             gc.enable()
+
 
 # ---------------------------------------------------------------- sampling
 class TestGuidance:

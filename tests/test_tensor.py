@@ -235,10 +235,10 @@ class TestBackward:
         np.testing.assert_array_equal(y.data, [3000.0])
 
     def test_diamond_sums_each_path_once_in_topological_order(self):
-        # x reaches the loss through a, b and c. Its gradient arrives in
-        # reverse topological order, c then b then a: (-1e16 + 1e16) + 1
-        # is 1, while any other order of these three terms gives 0, and
-        # counting a path twice gives 2 or more.
+        # x reaches the loss through a, b and c. Its gradient terms arrive
+        # in reverse topological order, c then b then a: (-1e16 + 1e16) + 1
+        # is 1, while adding a's term before either other term gives 0,
+        # and counting any path twice gives a value other than 1.
         x = Tensor([1.0], requires_grad=True)
         a, b, c = x * 1.0, x * 1e16, x * -1e16
         ((a + b) + c).sum().backward()
