@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import (INJECTION_SITES, MODEL_FIELDS, ConfigError, RunConfig,
                      read_json_object)
-from .data import DatasetError, caption_for, generate_dataset, write_ppm
+from .data import DatasetError, generate_dataset, write_ppm
 from .diffusion import BLOCK_NAMES
 from .encoders import VocabError
 from .gradcheck import REL_TOL, audit, projection_head
@@ -90,15 +90,6 @@ def _checkpoint_config(cfg: RunConfig, config_file) -> RunConfig:
     return cfg
 
 
-def _load_layout(path):
-    """Read a layout file; return it and its auxiliary caption."""
-    doc = load_layout_json(path)
-    try:
-        return doc, caption_for(doc["count"], doc["category"])
-    except DatasetError as e:
-        raise DatasetError(f"{path}: {e}") from None
-
-
 def _parse_counts(spec: str) -> list:
     """'1-10', '2,4,6' or a mix of both: the listed counts, in order."""
     out = []
@@ -146,14 +137,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_edit(args) -> int:
-    from .pipeline import Pipeline, load_image
+    from .pipeline import Pipeline, load_image, load_layout
 
     cfg = _checkpoint_config(build_config(args), args.config)
     pipe = Pipeline(cfg)
     pipe.load(cfg.checkpoint_dir)
-    doc, aux = _load_layout(args.layout)
+    doc, aux = load_layout(args.layout)
     image = load_image(args.image)
-    out = pipe.edit(image, doc["boxes"], aux, args.prompt)
+    # load_layout checked the caption's words, so a VocabError is the prompt's
+    try:
+        out = pipe.edit(image, doc["boxes"], aux, args.prompt)
+    except VocabError as e:
+        raise VocabError(f"--prompt: {e}") from None
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_qlt(out_path.with_suffix(".qlt"), out)
@@ -232,7 +227,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_dump_attention(args) -> int:
-    from .pipeline import Pipeline, load_image
+    from .pipeline import Pipeline, load_image, load_layout
 
     cfg = build_config(args)
     if args.site not in BLOCK_NAMES:
@@ -241,17 +236,25 @@ def cmd_dump_attention(args) -> int:
     has_checkpoint = Path(cfg.checkpoint_dir, "manifest.json").exists()
     if has_checkpoint:
         cfg = _checkpoint_config(cfg, args.config)
+    t = cfg.t_train // 2 if args.t is None else args.t
+    if not 0 <= t < cfg.t_train:
+        source = "checkpoint" if has_checkpoint else "config"
+        raise ConfigError(f"--t must be in [0, {cfg.t_train}), the {source}'s "
+                          f"timesteps, got {t}")
     pipe = Pipeline(cfg)
     if has_checkpoint:
         pipe.load(cfg.checkpoint_dir)
-    doc, aux = _load_layout(args.layout)
+    doc, aux = load_layout(args.layout)
     image = load_image(args.image)
-    bundle = pipe.condition(image, doc["boxes"], aux, prompt=args.prompt)
+    try:
+        bundle = pipe.condition(image, doc["boxes"], aux, prompt=args.prompt)
+    except VocabError as e:
+        raise VocabError(f"--prompt: {e}") from None
     latent = Rng(cfg.seed).spawn("dump").normal(
         (pipe.denoiser.n_tokens, pipe.denoiser.d_latent))
     capture = {args.site: {}}
     pipe.denoiser.forward(Tensor(latent.astype(pipe.denoiser.w_in.data.dtype)),
-                          args.t, bundle, weights_out=capture)
+                          t, bundle, weights_out=capture)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for branch in ("text", "adapter"):
@@ -308,7 +311,7 @@ def main(argv=None) -> int:
     p.add_argument("--layout", required=True)
     p.add_argument("--prompt", default="")
     p.add_argument("--site", required=True)
-    p.add_argument("--t", type=int, default=500)
+    p.add_argument("--t", type=int, help="timestep (default: t_train // 2)")
     p.add_argument("--out", default="attention")
     p.set_defaults(func=cmd_dump_attention)
 

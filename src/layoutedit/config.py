@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 
 INJECTION_SITES = ("down2", "down4", "mid", "all")
@@ -36,11 +37,16 @@ _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 def _check_types(obj, prefix: str = ""):
+    """Reject wrongly typed values, and NaN or infinite floats (which
+    Python's json reads as NaN and Infinity)."""
     for f in dataclasses.fields(obj):
         want = _FIELD_TYPES.get(f.type)
         val = getattr(obj, f.name)
         if want and (isinstance(val, bool) or not isinstance(val, want)):
             raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {val!r}")
+        # False for NaN, infinities and ints too large for a float
+        if f.type == "float" and not abs(val) <= sys.float_info.max:
+            raise ConfigError(f"{prefix}{f.name} must be finite, got {val!r}")
 
 
 def _reject_unknown(cls, d: dict, where: str):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoders import COUNT_WORDS
+from .encoders import COUNT_WORDS, DEFAULT_VOCAB
 from .layout import Box4, save_layout_json
 from .qlt import save_qlt
 from .rng import Rng
@@ -36,7 +36,9 @@ def caption_for(count: int, shape: str) -> str:
     if not (isinstance(count, int) and 1 <= count <= len(COUNT_WORDS)):
         raise DatasetError(f"count must be an integer in "
                            f"1..{len(COUNT_WORDS)}, got {count!r}")
-    noun = shape if count == 1 else shape + "s"
+    noun = shape if count == 1 else f"{shape}s"
+    if not isinstance(shape, str) or noun not in DEFAULT_VOCAB:
+        raise DatasetError(f"category {shape!r} is not in the vocabulary")
     return f"{COUNT_WORDS[count - 1]} {noun}"
 
 

@@ -21,18 +21,16 @@ from .tensor import NumericsError, Param, Tensor, add, linear, params_of, silu
 
 BLOCK_NAMES = ("down1", "down2", "down3", "down4", "mid",
                "up1", "up2", "up3", "up4")
+FACTOR = 2      # space-to-depth factor between image pixels and latent tokens
 
 
 # ----------------------------------------------------------------------
 class NoiseSchedule:
-    """Linear-beta DDPM schedule with cached cumulative products."""
+    """Linear-beta DDPM schedule (betas 1e-4 to 2e-2), cumulative products cached."""
 
-    def __init__(self, t_train: int = 1000, beta_start: float = 1e-4,
-                 beta_end: float = 2e-2):
+    def __init__(self, t_train: int):
         self.t_train = t_train
-        self.betas = np.linspace(beta_start, beta_end, t_train)
-        if not ((self.betas > 0).all() and (self.betas < 1).all()):
-            raise ValueError("betas must lie in (0, 1)")
+        self.betas = np.linspace(1e-4, 2e-2, t_train)
         self.alpha_bars = np.cumprod(1.0 - self.betas)
 
     def alpha_bar(self, t: int) -> float:
@@ -55,19 +53,19 @@ def forward_noise(x0: np.ndarray, t: int, eps: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-def image_to_latent(image: np.ndarray, factor: int = 2) -> np.ndarray:
-    """[3, H, W] -> [h*w, 3*factor^2] exact space-to-depth repack."""
+def image_to_latent(image: np.ndarray) -> np.ndarray:
+    """[3, H, W] -> [h*w, 3*FACTOR^2] exact space-to-depth repack."""
     c, hh, ww = image.shape
-    h, w = hh // factor, ww // factor
-    return (image.reshape(c, h, factor, w, factor)
+    h, w = hh // FACTOR, ww // FACTOR
+    return (image.reshape(c, h, FACTOR, w, FACTOR)
             .transpose(1, 3, 0, 2, 4)
-            .reshape(h * w, c * factor * factor))
+            .reshape(h * w, c * FACTOR * FACTOR))
 
 
-def latent_to_image(latent: np.ndarray, image_size: int, factor: int = 2) -> np.ndarray:
-    h = w = image_size // factor
-    c = latent.shape[1] // (factor * factor)
-    return (latent.reshape(h, w, c, factor, factor)
+def latent_to_image(latent: np.ndarray, image_size: int) -> np.ndarray:
+    h = w = image_size // FACTOR
+    c = latent.shape[1] // (FACTOR * FACTOR)
+    return (latent.reshape(h, w, c, FACTOR, FACTOR)
             .transpose(2, 0, 3, 1, 4)
             .reshape(c, image_size, image_size))
 
@@ -107,15 +105,19 @@ class DenoiserBlock:
 
 
 class DenoiserState:
-    """Block parameters keyed by name plus the injection configuration."""
+    """Block parameters keyed by name plus the injection sites."""
 
     def __init__(self, config: RunConfig, rng: Rng):
         self.config = config
         self.schedule = NoiseSchedule(config.t_train)
-        self.factor = 2
-        grid = config.image_size // self.factor
+        grid = config.image_size // FACTOR
         self.n_tokens = grid * grid
-        self.d_latent = 3 * self.factor * self.factor
+        self.d_latent = 3 * FACTOR * FACTOR
+        # Adapter scale per injection site, in block order; every other site
+        # runs its text branch alone. The "all" ablation scales only down4.
+        inj = config.injection
+        self.site_scales = ({**dict.fromkeys(BLOCK_NAMES, 1.0), "down4": inj.ip_scale}
+                            if inj.position == "all" else {inj.position: inj.ip_scale})
         d = config.d_model
         r = rng.spawn("denoiser")
         self.w_in = _proj("den.w_in", r, self.d_latent, d)
@@ -134,24 +136,13 @@ class DenoiserState:
                            + r.spawn("b_out").normal((self.d_latent,), std=0.3))
 
     # ------------------------------------------------------------------
-    def active_sites(self) -> tuple:
-        pos = self.config.injection.position
-        return BLOCK_NAMES if pos == "all" else (pos,)
-
-    def site_scale(self, name: str) -> float:
-        # In the "all" ablation only down4 uses the configured scale;
-        # other sites keep scale 1.
-        if self.config.injection.position == "all" and name != "down4":
-            return 1.0
-        return self.config.injection.ip_scale
-
     def ip_params(self):
-        """The adapter-branch weights at the active sites: all that trains."""
-        return [p for name in self.active_sites()
+        """The adapter-branch weights at the injection sites: all that trains."""
+        return [p for name in self.site_scales
                 for p in self.blocks[name].cross.ip_params()]
 
     def set_trainable(self):
-        """Freeze everything except the adapter branch at active sites."""
+        """Freeze everything except the adapter branch at injection sites."""
         for p in params_of(self):
             p.tensor.requires_grad = False
         for p in self.ip_params():
@@ -168,9 +159,9 @@ class DenoiserState:
             Tensor(timestep_embedding(t, self.config.d_model)[None, :].astype(dt)),
             self.w_time.tensor, self.b_time.tensor))
         x = add(add(linear(z, self.w_in.tensor), self.pos.tensor), temb)
-        active = set(self.active_sites())
         for name in BLOCK_NAMES:
-            lam = bundle.lam * self.site_scale(name) if name in active else 0.0
+            scale = self.site_scales.get(name)
+            lam = 0.0 if scale is None else bundle.lam * scale
             wo = None
             if weights_out is not None and name in weights_out:
                 wo = weights_out[name]

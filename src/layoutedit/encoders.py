@@ -23,7 +23,7 @@ DEFAULT_VOCAB = ([EMPTY_TOKEN] + COUNT_WORDS +
                  ["circle", "circles", "square", "squares", "shape", "shapes"])
 
 
-class VocabError(KeyError):
+class VocabError(ValueError):
     """Raised on unknown token ids or words."""
 
 
@@ -81,12 +81,10 @@ class TextEncoder:
 
     MAX_LEN = 16
 
-    def __init__(self, d_t: int, vocab: list | None = None, rng: Rng | None = None):
-        self.vocab = list(vocab) if vocab is not None else list(DEFAULT_VOCAB)
+    def __init__(self, d_t: int, rng: Rng):
+        self.vocab = list(DEFAULT_VOCAB)
         self.index = {w: i for i, w in enumerate(self.vocab)}
-        if EMPTY_TOKEN not in self.index:
-            raise VocabError(f"vocabulary must contain {EMPTY_TOKEN!r}")
-        r = (rng or Rng(0)).spawn("text_encoder")
+        r = rng.spawn("text_encoder")
         # The empty token is a dedicated learned row, never all-zero.
         self.emb = Param("txt.emb", r.spawn("emb").normal((len(self.vocab), d_t), std=1.0))
         self.pos = Param("txt.pos", r.spawn("pos").normal((self.MAX_LEN, d_t), std=0.1))
@@ -103,10 +101,8 @@ class TextEncoder:
 
     def encode(self, token_ids: list) -> TextEncoding:
         n = len(token_ids)
-        if n == 0:
-            token_ids, n = [self.index[EMPTY_TOKEN]], 1
         if n > self.MAX_LEN:
-            raise VocabError(f"prompt length {n} exceeds {self.MAX_LEN}")
+            raise VocabError(f"{n} words exceed the limit of {self.MAX_LEN}")
         for t in token_ids:
             if not 0 <= t < len(self.vocab):
                 raise VocabError(f"token id {t} outside vocabulary of {len(self.vocab)}")

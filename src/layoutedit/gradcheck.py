@@ -23,14 +23,14 @@ def relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
-def finite_diff(fn, arr: np.ndarray, idx, step: float = FD_STEP) -> float:
+def finite_diff(fn, arr: np.ndarray, idx) -> float:
     old = arr[idx]
-    arr[idx] = old + step
+    arr[idx] = old + FD_STEP
     hi = fn()
-    arr[idx] = old - step
+    arr[idx] = old - FD_STEP
     lo = fn()
     arr[idx] = old
-    return (hi - lo) / (2.0 * step)
+    return (hi - lo) / (2.0 * FD_STEP)
 
 
 @dataclass
@@ -49,7 +49,7 @@ class GroupReport:
         return "FAIL" if not self.passed else "zero" if self.zero else "pass"
 
 
-def check_param_group(fn, param: Param, rng: Rng, max_entries: int = 8,
+def check_param_group(fn, param: Param, rng: Rng, max_entries: int,
                       corrupt: bool = False) -> GroupReport:
     """Compare the tape gradient of `fn()` (a fresh scalar Tensor per
     call) against central differences on sampled entries of `param`."""

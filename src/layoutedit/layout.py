@@ -49,10 +49,6 @@ class LayoutSet:
     valid_count: int     # n
     mask: np.ndarray     # bool per slot, True for slots 0..n
 
-    @property
-    def max_n(self) -> int:
-        return len(self.boxes) - 1
-
     def coords(self) -> np.ndarray:
         """[max_n+1, 4] float array in slot order."""
         return np.array([b.as_tuple() for b in self.boxes], dtype=np.float64)
@@ -122,6 +118,9 @@ def load_layout_json(path) -> dict:
         raise LayoutError(f"{path}: 'boxes' must be a list")
     boxes = [parse_box(b, f"{path}: boxes[{i}]")
              for i, b in enumerate(doc["boxes"])]
+    if isinstance(doc["count"], bool) or not isinstance(doc["count"], int):
+        raise LayoutError(f"{path}: 'count' must be an integer, "
+                          f"got {doc['count']!r}")
     if doc["count"] != len(boxes):
         raise LayoutError(f"{path}: count={doc['count']} but {len(boxes)} boxes")
     doc["boxes"] = boxes

@@ -32,7 +32,7 @@ class Pipeline:
         grid = config.image_size // config.patch_size
         self.image_encoder = ImageEncoder(config.d_i, config.patch_size,
                                           config.image_size, config.heads, rng)
-        self.text_encoder = TextEncoder(config.d_t, rng=rng)
+        self.text_encoder = TextEncoder(config.d_t, rng)
         self.embedder = LayoutEmbedder(config.d_l, config.d_i, rng)
         self.ilfm = IlfmParams(config.d_i, config.d_l, grid * grid,
                                config.heads, rng)
@@ -81,7 +81,7 @@ class Pipeline:
         return self._copy_from(directory, self.named_params().values())
 
     def init_ip_weights(self, checkpoint_dir=None, seed: int = 7) -> str:
-        """Initialize the adapter-branch weights at the active sites.
+        """Initialize the adapter-branch weights at the injection sites.
 
         From a prior checkpoint when one is given, else from the seed:
         random key/value projections and a zero output projection.
@@ -91,7 +91,7 @@ class Pipeline:
             self._copy_from(checkpoint_dir, self.denoiser.ip_params())
             return "checkpoint"
         rng = Rng(seed)
-        for site in self.denoiser.active_sites():
+        for site in self.denoiser.site_scales:
             blk = self.denoiser.blocks[site].cross
             for param in (blk.w_kf, blk.w_vf):
                 sub = param.name.rsplit(".", 1)[-1]
@@ -119,12 +119,10 @@ class Pipeline:
     def load_scene(self, data_dir, name: str):
         """Return (image, latent, bundle-with-empty-prompt) for a scene."""
         data_dir = Path(data_dir)
-        doc = load_layout_json(data_dir / f"{name}.json")
+        doc, caption = load_layout(data_dir / f"{name}.json")
         image = load_qlt(data_dir / doc["image"])
-        caption = caption_for(doc["count"], doc["category"])
         latent = image_to_latent(
-            np.asarray(image, dtype=self.denoiser.w_in.data.dtype),
-            self.denoiser.factor)
+            np.asarray(image, dtype=self.denoiser.w_in.data.dtype))
         bundle = self.condition(image, doc["boxes"], caption, prompt="")
         return image, latent, bundle
 
@@ -182,8 +180,7 @@ class Pipeline:
         rng = Rng(self.config.seed if seed is None else seed).spawn("sample")
         latent = sample(self.denoiser, bundle, self.config.cfg_w,
                         self.config.sample_steps, rng)
-        return latent_to_image(latent, self.config.image_size,
-                               self.denoiser.factor)
+        return latent_to_image(latent, self.config.image_size)
 
 
 def _keep_freed_memory():
@@ -199,6 +196,15 @@ def _keep_freed_memory():
         return
     mallopt(-3, 64 << 20)     # M_MMAP_THRESHOLD
     mallopt(-1, 256 << 20)    # M_TRIM_THRESHOLD
+
+
+def load_layout(path):
+    """Read a layout file; return it and its auxiliary caption."""
+    doc = load_layout_json(path)
+    try:
+        return doc, caption_for(doc["count"], doc["category"])
+    except DatasetError as e:
+        raise DatasetError(f"{path}: {e}") from None
 
 
 def load_image(path) -> np.ndarray:

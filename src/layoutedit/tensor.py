@@ -41,9 +41,9 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None,
+    def __init__(self, data, requires_grad: bool = False,
                  _parents=(), _backward=None):
-        arr = np.asarray(data, dtype=dtype)
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
@@ -185,8 +185,8 @@ def _node(data, parents, backward, op) -> Tensor:
     return Tensor(data)
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 # ----------------------------------------------------------------------
@@ -244,10 +244,6 @@ def log(a) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(a.data)
     return _node(out, (a,), lambda g: (g / a.data,), "log")
-
-
-def sqrt(a) -> Tensor:
-    return power(a, 0.5)
 
 
 def silu(a) -> Tensor:
@@ -331,8 +327,8 @@ def masked_softmax(x, mask: np.ndarray, axis: int = -1) -> Tensor:
     return _node(out, (x,), bw, "masked_softmax")
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Layer normalization over the last (channel) axis."""
+def layer_norm(x, gain, bias) -> Tensor:
+    """Layer normalization over the last (channel) axis, eps 1e-5."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     c = x.shape[-1]
     if gain.shape != (c,) or bias.shape != (c,):
@@ -341,7 +337,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    ivar = 1.0 / np.sqrt(var + eps)
+    ivar = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * ivar
     out = xhat * gain.data + bias.data
 
@@ -493,10 +489,10 @@ def params_of(obj) -> list:
     return [p for child in children for p in params_of(child)]
 
 
-def adamw_step(params, lr: float = 2.5e-4, betas=(0.9, 0.999),
-               eps: float = 1e-8, weight_decay: float = 0.0):
-    """Decoupled-weight-decay Adam update with bias-corrected moments."""
-    b1, b2 = betas
+def adamw_step(params, lr: float):
+    """AdamW update with zero weight decay (so Adam): bias-corrected
+    moments, betas (0.9, 0.999), eps 1e-8."""
+    b1, b2 = 0.9, 0.999
     for p in params:
         g = p.tensor.grad
         if g is None:
@@ -512,6 +508,4 @@ def adamw_step(params, lr: float = 2.5e-4, betas=(0.9, 0.999),
         p.v = b2 * p.v + (1.0 - b2) * g * g
         mhat = p.m / (1.0 - b1 ** p.step)
         vhat = p.v / (1.0 - b2 ** p.step)
-        if weight_decay:
-            p.tensor.data -= lr * weight_decay * p.tensor.data
-        p.tensor.data -= lr * mhat / (np.sqrt(vhat) + eps)
+        p.tensor.data -= lr * mhat / (np.sqrt(vhat) + 1e-8)

@@ -82,6 +82,28 @@ class TestSynth:
         err = capsys.readouterr().err
         assert str(path) in err and field in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["lam", "cfg_w", "lr", "ip_scale"])
+    def test_non_finite_float_names_the_field(self, tmp_path, capsys, field,
+                                              value):
+        command = "edit" if field == "cfg_w" else "train"
+        flag = "--" + field.replace("_", "-")
+        argv = [command, "--config", small_config_file(tmp_path), f"{flag}={value}"]
+        if command == "edit":
+            argv += ["--image", "i.ppm", "--layout", "l.json"]
+        assert main(argv) == 1
+        assert f"{field} must be finite, got {value}" in capsys.readouterr().err
+
+        # the same value read from a --config file (json writes NaN, Infinity)
+        doc = {field: float(value)}
+        if field == "ip_scale":
+            doc = {"injection": doc}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["synth", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and f"{field} must be finite" in err
+
     @pytest.mark.parametrize("argv,flag", [
         (["synth", "--heads", "4"], "--heads"),
         (["train", "--injection", "down9"], "--injection"),
@@ -151,6 +173,15 @@ class TestTrainAndEdit:
         err = capsys.readouterr().err
         assert str(index) in err and field in err
 
+    def test_train_scene_category_names_the_file(self, tmp_path, capsys):
+        cfg = run_synth(tmp_path)
+        scene = tmp_path / "data" / "scene_001.json"
+        doc = json.loads(scene.read_text())
+        scene.write_text(json.dumps({**doc, "category": "triangle"}))
+        assert main(["train", "--config", cfg]) == 1
+        assert (f"{scene}: category 'triangle' is not in the vocabulary"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("name,blob,field", [
         ("short.qlt", b"QLT1", "header"),
         ("short.ppm", b"P6\n16 16\n255\n" + bytes(10), "payload"),
@@ -177,6 +208,10 @@ class TestTrainAndEdit:
         ({"boxes": [], "count": 0, "category": "circle"}, "count"),
         ({"boxes": [[0.08 * i, 0.1, 0.08 * i + 0.05, 0.2] for i in range(11)],
           "count": 11, "category": "circle"}, "count"),
+        ({"boxes": [[0.1, 0.1, 0.5, 0.5]], "count": True, "category": "circle"},
+         "'count' must be an integer, got True"),
+        ({"boxes": [[0.1, 0.1, 0.5, 0.5]], "count": 1, "category": 5},
+         "category 5"),
     ])
     def test_edit_bad_layout_names_file(self, trained, tmp_path, capsys,
                                         doc, field):
@@ -189,6 +224,32 @@ class TestTrainAndEdit:
         assert rc == 1
         err = capsys.readouterr().err
         assert "layout.json" in err and field in err
+
+    @pytest.mark.parametrize("command", ["edit", "dump-attn"])
+    @pytest.mark.parametrize("prompt,category,message", [
+        pytest.param("three cats", "circle", "--prompt: unknown word 'cats'",
+                     id="unknown-word"),
+        pytest.param(" ".join(["circle"] * 17), "circle",
+                     "--prompt: 17 words exceed the limit of 16", id="17-words"),
+        pytest.param("", "triangle",
+                     "layout.json: category 'triangle' is not in the vocabulary",
+                     id="category"),
+    ])
+    def test_vocabulary_errors_name_their_source(self, trained, tmp_path, capsys,
+                                                 command, prompt, category,
+                                                 message):
+        root, cfg = trained
+        layout = tmp_path / "layout.json"
+        layout.write_text(json.dumps({"boxes": [[0.1, 0.1, 0.5, 0.5]],
+                                      "count": 1, "category": category}))
+        argv = [command, "--config", cfg, "--prompt", prompt,
+                "--image", str(root / "data" / "scene_000.ppm"),
+                "--layout", str(layout), "--out", str(tmp_path / "x")]
+        assert main(argv + (["--site", "down4"] if command == "dump-attn"
+                            else [])) == 1
+        err = capsys.readouterr().err
+        assert message in err and '"' not in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("flag", ["--image", "--layout"])
     def test_edit_directory_path_names_it(self, trained, tmp_path, capsys, flag):
@@ -255,6 +316,23 @@ class TestTrainAndEdit:
         assert rc == 1
         err = capsys.readouterr().err
         assert "manifest.json" in err and "'config'" in err
+
+    def test_edit_manifest_non_finite_float_names_manifest(self, trained,
+                                                           tmp_path, capsys):
+        root, _ = trained
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(root / "ckpt", ckpt)
+        mpath = ckpt / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["config"]["lam"] = float("nan")
+        mpath.write_text(json.dumps(manifest))
+        rc = main(["edit", "--checkpoint-dir", str(ckpt),
+                   "--image", str(root / "data" / "scene_000.ppm"),
+                   "--layout", str(root / "data" / "scene_000.json"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "lam must be finite, got nan" in err
 
     def test_edit_manifest_outside_directory_names_manifest(self, trained, tmp_path,
                                                            capsys):
@@ -429,6 +507,19 @@ class TestDumpAttention:
         assert rc == 0
         # the checkpoint's 2 heads, not the default 8
         assert load_qlt(out_dir / "down4_text.qlt").shape == (2, 64, 1)
+
+    @pytest.mark.parametrize("t", ["50", "99999", "-5"])
+    def test_timestep_outside_the_checkpoint_range(self, trained, tmp_path,
+                                                   capsys, t):
+        root, _ = trained
+        rc = main(["dump-attn", "--checkpoint-dir", str(root / "ckpt"),
+                   "--image", str(root / "data" / "scene_000.ppm"),
+                   "--layout", str(root / "data" / "scene_000.json"),
+                   "--site", "down4", "--t", t, "--out", str(tmp_path / "attn")])
+        assert rc == 1
+        assert (f"--t must be in [0, 50), the checkpoint's timesteps, got {t}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "attn").exists()
 
     def test_unknown_site(self, tmp_path, capsys):
         cfg = run_synth(tmp_path)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from layoutedit.adapter import ConditionBundle
-from layoutedit.config import RunConfig
+from layoutedit.config import InjectionConfig, RunConfig
 from layoutedit.diffusion import (BLOCK_NAMES, DenoiserState, NoiseSchedule,
                                   forward_noise, guided_eps, image_to_latent,
                                   latent_to_image, sample, timestep_embedding,
@@ -134,11 +134,11 @@ class TestDenoiserForward:
         assert out.shape == (st.n_tokens, st.d_latent)
 
     def test_active_sites_default_and_all(self):
-        st = small_state()
-        assert st.active_sites() == ("down4",)
-        st.config.injection.position = "all"
-        assert st.active_sites() == BLOCK_NAMES
-        assert st.site_scale("mid") == 1.0
+        assert small_state().site_scales == {"down4": 1.0}
+        st = small_state(injection=InjectionConfig(position="all", ip_scale=0.5))
+        assert tuple(st.site_scales) == BLOCK_NAMES
+        assert st.site_scales["mid"] == 1.0
+        assert st.site_scales["down4"] == 0.5
 
     def test_drop_image_condition_keeps_text(self):
         st = small_state()
