@@ -159,7 +159,12 @@ def cmd_edit(args) -> int:
 
 def cmd_eval(args) -> int:
     pred_dir, gt_dir = Path(args.pred_dir), Path(args.gt_dir)
-    gt_files = sorted(gt_dir.glob("*.json"))
+    gt_docs = {g: read_json_object(g, LayoutError, "ground truth")
+               for g in sorted(gt_dir.glob("*.json"))}
+    # a file with no key of either schema, such as a dataset's index.json,
+    # describes no image
+    gt_files = [g for g, doc in gt_docs.items()
+                if {"boxes", "detections", "ground_truth"} & doc.keys()]
     if not gt_files:
         raise FileNotFoundError(f"no ground-truth JSON files in {gt_dir}")
     stray = {p.name for p in pred_dir.glob("*.json")} - {g.name for g in gt_files}
@@ -167,7 +172,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"prediction files without ground truth: {sorted(stray)}")
     sets, names = [], []
     for g in gt_files:
-        if "boxes" in read_json_object(g, LayoutError, "ground truth"):
+        if "boxes" in gt_docs[g]:
             ground_truth = load_layout_json(g)["boxes"]     # layout schema
         else:    # detection schema; without ground_truth, as oracle truth
             gt = load_detection_json(g)
@@ -188,6 +193,8 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .pipeline import Pipeline
 
+    if args.entries < 1:
+        raise ConfigError(f"--entries must be at least 1, got {args.entries}")
     cfg = RunConfig(seed=args.seed if args.seed is not None else 0,
                     d_i=16, d_t=16, d_l=16, d_model=16, heads=2, max_n=4,
                     image_size=16, patch_size=8, dtype="float64",

@@ -17,7 +17,8 @@ from .adapter import ConditionBundle, DualBranchAttention, dual_branch_attention
 from .attention import SelfAttention, _proj
 from .config import RunConfig
 from .rng import Rng
-from .tensor import NumericsError, Param, Tensor, add, linear, params_of, silu
+from .tensor import (NumericsError, Param, Tensor, add, checked_once, linear,
+                     params_of, silu)
 
 BLOCK_NAMES = ("down1", "down2", "down3", "down4", "mid",
                "up1", "up2", "up3", "up4")
@@ -150,6 +151,7 @@ class DenoiserState:
         return self.ip_params()
 
     # ------------------------------------------------------------------
+    @checked_once(lambda pred: (pred.data,))
     def forward(self, z, t: int, bundle: ConditionBundle,
                 weights_out: dict | None = None) -> Tensor:
         """Predict noise for latent tokens z at timestep t."""

@@ -21,7 +21,7 @@ from .ilfm import IlfmParams, ilfm_forward
 from .layout import LayoutEmbedder, build_layout, load_layout_json
 from .qlt import QltError, load_checkpoint, load_qlt, save_checkpoint
 from .rng import Rng
-from .tensor import Tensor, adamw_step, params_of
+from .tensor import Tensor, adamw_step, checked_once, params_of
 
 
 class Pipeline:
@@ -53,6 +53,7 @@ class Pipeline:
         return out
 
     # ------------------------------------------------------------------
+    @checked_once(lambda b: (b.f_t.data, b.f.data))
     def condition(self, image: np.ndarray, boxes, aux_caption: str,
                   prompt: str = "") -> ConditionBundle:
         """Build the denoiser conditioning from an image, its layout and

@@ -3,8 +3,19 @@
 Tensors wrap numpy arrays and record a tape of backward closures. Every
 op validates shapes up front and checks the result for NaN/Inf: a
 non-finite value is an error state, never silent.
+
+A function decorated with `checked_once` is a boundary (a condition
+build, a denoiser pass): while it runs, its ops skip their result
+checks, and its outputs are checked once when it returns. On a
+non-finite output, or a `NumericsError` raised inside, the call is run
+again with every op's check on. Runs are deterministic, so the replay
+raises the error naming the op that first produced the value, as it
+would without the boundary. A boundary reached inside another runs as
+a plain call. `mha` checks its logits inside a boundary too.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -24,6 +35,37 @@ def _check(arr: np.ndarray, op: str) -> np.ndarray:
             return arr  # benign overflow of the sum itself
         raise NumericsError(f"non-finite values produced by {op}")
     return arr
+
+
+_deferred = False     # True while a `checked_once` call runs: _node skips _check
+
+
+def checked_once(outputs):
+    """Decorator that makes a function a finiteness boundary (see the
+    module docstring). `outputs(result)` gives the arrays to check; an
+    error the replay does not reproduce names the function."""
+    def wrap(fn):
+        name = fn.__qualname__
+
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            global _deferred
+            if _deferred:
+                return fn(*args, **kwargs)
+            _deferred = True
+            try:
+                result = fn(*args, **kwargs)
+                for arr in outputs(result):
+                    _check(arr, name)
+                return result
+            except NumericsError:
+                pass
+            finally:
+                _deferred = False
+            fn(*args, **kwargs)
+            raise NumericsError(f"non-finite values produced by {name}")
+        return call
+    return wrap
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -179,7 +221,8 @@ def _needs_grad(*ts) -> bool:
 
 
 def _node(data, parents, backward, op) -> Tensor:
-    _check(data, op)
+    if not _deferred:
+        _check(data, op)
     if _needs_grad(*parents):
         return Tensor(data, _parents=tuple(parents), _backward=backward)
     return Tensor(data)
@@ -413,7 +456,14 @@ def mha(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
     kt = kh.transpose(0, 2, 1)
     scale = 1.0 / float(np.sqrt(q.shape[-1] // heads))
     # the logits buffer becomes the attention weights in place
-    attn = _check(qh @ kt, "mha")
+    attn = qh @ kt
+    # Checked even inside a boundary: softmax turns a lone -inf logit into
+    # a finite zero weight. Each logit is at most d_head * max|q| * max|k|
+    # in magnitude; below half the dtype's max none can overflow, so the
+    # scan is skipped (a NaN or inf in q or k fails the comparison).
+    q_max, k_max = (float(np.abs(x.data).max(initial=0.0)) for x in (q, k))
+    if not qh.shape[-1] * q_max * k_max < float(np.finfo(attn.dtype).max) / 2:
+        _check(attn, "mha")
     attn *= scale
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)

@@ -10,7 +10,7 @@ from layoutedit.config import RunConfig
 from layoutedit.data import caption_for
 from layoutedit.layout import load_layout_json
 from layoutedit.pipeline import Pipeline, load_image
-from layoutedit.qlt import load_qlt
+from layoutedit.qlt import load_qlt, save_qlt
 
 
 def small_config_file(tmp_path, **kw):
@@ -352,6 +352,27 @@ class TestTrainAndEdit:
         err = capsys.readouterr().err
         assert "manifest.json" in err and "outside" in err
 
+    @pytest.mark.parametrize("param", ["den.mid.w1", "ilfm.w_qi"])
+    def test_edit_non_finite_weight_exits_2_naming_the_op(self, trained, tmp_path,
+                                                          capsys, param):
+        root, _ = trained
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(root / "ckpt", ckpt)
+        qlt = ckpt / json.loads((ckpt / "manifest.json").read_text())[
+            "tensors"][param]["file"]
+        arr = load_qlt(qlt)
+        arr.reshape(-1)[0] = np.nan
+        save_qlt(qlt, arr)
+        with np.errstate(invalid="ignore"):
+            rc = main(["edit", "--checkpoint-dir", str(ckpt),
+                       "--image", str(root / "data" / "scene_000.ppm"),
+                       "--layout", str(root / "data" / "scene_000.json"),
+                       "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert ("numerical failure: non-finite values produced by matmul"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.qlt").exists()
+
     def test_edit_without_checkpoint_fails(self, tmp_path, capsys):
         cfg = run_synth(tmp_path)
         rc = main(["edit", "--config", cfg,
@@ -448,6 +469,18 @@ class TestEval:
         assert rc == 1
         assert f"{tmp_path / bad / 'a.json'}: invalid JSON" in capsys.readouterr().err
 
+    def test_dataset_index_is_not_an_image(self, tmp_path, capsys):
+        cfg = small_config_file(tmp_path)
+        assert main(["synth", "--config", cfg, "--counts", "1-10"]) == 0
+        (tmp_path / "pred").mkdir()
+        out = tmp_path / "report.json"
+        rc = main(["eval", "--pred-dir", str(tmp_path / "pred"),
+                   "--gt-dir", str(tmp_path / "data"), "--out", str(out)])
+        assert rc == 0
+        assert "OA=0.0000 AP=0.0000 (10 images)" in capsys.readouterr().out
+        images = [r["image"] for r in json.loads(out.read_text())["per_image"]]
+        assert "index" not in images and len(images) == 10
+
     def test_empty_gt_dir_rejected(self, tmp_path):
         (tmp_path / "gt").mkdir()
         (tmp_path / "pred").mkdir()
@@ -472,6 +505,12 @@ class TestGradcheck:
         assert rows["den.down4.cross.w_of"] == "pass"
         # only the prompt's rows get a gradient, but the group is not zero
         assert rows["txt.pos"] == "pass"
+
+    @pytest.mark.parametrize("entries", ["0", "-1"])
+    def test_entries_below_one_rejected(self, capsys, entries):
+        assert main(["gradcheck", "--entries", entries]) == 1
+        assert (f"--entries must be at least 1, got {entries}"
+                in capsys.readouterr().err)
 
     def test_corrupt_hook_fails(self, capsys):
         rc = main(["gradcheck", "--entries", "2",

@@ -13,7 +13,7 @@ from layoutedit.layout import build_layout
 from layoutedit.pipeline import Pipeline, load_image
 from layoutedit.qlt import QltError, save_checkpoint
 from layoutedit.rng import Rng
-from layoutedit.tensor import Param, Tensor, params_of
+from layoutedit.tensor import NumericsError, Param, Tensor, params_of
 
 
 def small_config(tmp_path, **kw):
@@ -163,6 +163,50 @@ def test_condition_keeps_tape_through_flagged_param(pipe):
     b.f.sum().backward()
     assert p.tensor.grad is not None
     assert np.abs(p.tensor.grad).sum() > 0
+
+
+class TestNonFiniteWeights:
+    """A NaN weight inside `condition` or a denoiser pass is reported by
+    the op that first produces a non-finite value."""
+
+    def plant(self, pipe, name):
+        pipe.named_params()[name].data.reshape(-1)[0] = np.nan
+
+    def condition(self, pipe):
+        img = np.random.default_rng(0).uniform(size=(3, 16, 16))
+        return pipe.condition(img, BOXES, "two squares", prompt="two circles")
+
+    @pytest.mark.parametrize("name,op", [
+        ("ilfm.w_qi", "matmul"), ("ilfm.norm_gain", "layer_norm"),
+        ("txt.pos", "getitem"), ("cmam.fc_b", "add")])
+    def test_in_condition(self, pipe, name, op):
+        self.plant(pipe, name)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericsError, match=f"produced by {op}$"):
+            self.condition(pipe)
+
+    @pytest.mark.parametrize("name,op", [
+        ("den.mid.w1", "matmul"), ("den.pos", "add"),
+        ("den.down4.cross.w_of", "matmul"), ("den.down1.cross.w_kf", "matmul")])
+    def test_in_a_denoiser_pass(self, pipe, name, op):
+        bundle = self.condition(pipe)
+        self.plant(pipe, name)
+        z = np.zeros((pipe.denoiser.n_tokens, pipe.denoiser.d_latent), np.float32)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericsError, match=f"produced by {op}$"):
+            pipe.denoiser.forward(z, 7, bundle)
+
+    @pytest.mark.parametrize("name", ["den.down1.cross.w_vf", "den.down1.cross.w_of"])
+    def test_in_a_discarded_adapter_branch(self, pipe, name):
+        # At a lam == 0 site the adapter branch's output never reaches the
+        # prediction, which stays bit-equal to the clean one.
+        bundle = self.condition(pipe)
+        z = np.zeros((pipe.denoiser.n_tokens, pipe.denoiser.d_latent), np.float32)
+        clean = pipe.denoiser.forward(z, 7, bundle).data
+        self.plant(pipe, name)
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(pipe.denoiser.forward(z, 7, bundle).data,
+                                          clean)
 
 
 def test_condition_deterministic(pipe):

@@ -9,8 +9,8 @@ from conftest import assert_grad_matches, fd_grad, rel_err
 from layoutedit import tensor as T
 from layoutedit.rng import Rng
 from layoutedit.tensor import (NumericsError, Param, ShapeError, Tensor, add,
-                               adamw_step, concat, layer_norm, masked_softmax,
-                               matmul, mha, params_of, softmax)
+                               adamw_step, checked_once, concat, layer_norm,
+                               masked_softmax, matmul, mha, params_of, softmax)
 
 
 class TestMatmul:
@@ -223,6 +223,14 @@ class TestMhaNonFinite:
             mha(Tensor(np_rng.normal(size=(2, 4))), Tensor(np_rng.normal(size=(3, 4))),
                 Tensor(v), heads=2)
 
+    def test_finite_logits_beyond_the_bound_pass(self):
+        # d_head * max|q| * max|k| overflows float32, but q and k are
+        # orthogonal, so every logit is 0 and the full scan finds none bad
+        q = Tensor(np.array([[1e20, 0.0]], dtype=np.float32))
+        k = Tensor(np.array([[0.0, 1e20]], dtype=np.float32))
+        out = mha(q, k, Tensor(np.ones((1, 2), dtype=np.float32)), heads=1)
+        np.testing.assert_array_equal(out.data, [[1.0, 1.0]])
+
 
 class TestBackward:
     def test_deep_chain_does_not_hit_the_recursion_limit(self):
@@ -289,6 +297,39 @@ class TestNumerics:
     def test_division_by_zero_raises(self):
         with pytest.raises(NumericsError):
             Tensor([1.0]) / Tensor([0.0])
+
+
+def _boundary(fn):
+    return checked_once(lambda out: (out.data,))(fn)
+
+
+class TestCheckedOnce:
+    def test_replay_names_the_op(self):
+        probe = _boundary(lambda x: add(T.log(x), 1.0))
+        with pytest.raises(NumericsError, match="produced by log$"):
+            probe(Tensor([0.0]))
+
+    def test_checks_are_restored_after_a_raise(self):
+        with pytest.raises(NumericsError):
+            _boundary(T.log)(Tensor([0.0]))
+        with pytest.raises(ValueError):
+            _boundary(lambda: T.log(Tensor([0.0])) + int("x"))()
+        with pytest.raises(NumericsError, match="produced by log$"):
+            T.log(Tensor([0.0]))
+
+    def test_output_no_op_produced_names_the_boundary(self):
+        def probe():
+            return Tensor([np.nan])
+
+        with pytest.raises(NumericsError, match=r"produced by \S*\.probe$"):
+            _boundary(probe)()
+
+    def test_only_outputs_are_checked_and_nesting_keeps_them_deferred(self):
+        # log(0) = -inf inside, exp(-inf) = 0 out: the value never reaches
+        # an output. A nested boundary must not switch per-op checks back on.
+        inner = _boundary(lambda x: add(x, 1.0))
+        outer = _boundary(lambda x: T.exp(T.log(add(inner(x), -1.0))))
+        np.testing.assert_array_equal(outer(Tensor([0.0])).data, [0.0])
 
 
 class TestRng:
