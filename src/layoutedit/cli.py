@@ -56,15 +56,22 @@ def _add_config_flags(p: argparse.ArgumentParser, names: str):
 
 def build_config(args) -> RunConfig:
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
+    flagged = set()
     for field in dataclasses.fields(RunConfig):
         val = getattr(args, field.name, None)
         if val is not None and field.name != "injection":
             setattr(cfg, field.name, val)
+            flagged.add(field.name)
     if getattr(args, "injection", None) is not None:
         cfg.injection.position = args.injection
     if getattr(args, "ip_scale", None) is not None:
         cfg.injection.ip_scale = args.ip_scale
-    return cfg.apply_env().validate()
+    try:
+        return cfg.apply_env().validate()
+    except ConfigError as e:
+        if args.config and e.field is not None and e.field not in flagged:
+            raise ConfigError(f"{args.config}: {e}", e.field) from None
+        raise
 
 
 def _checkpoint_config(cfg: RunConfig, config_file) -> RunConfig:
@@ -140,6 +147,10 @@ def cmd_edit(args) -> int:
     from .pipeline import Pipeline, load_image, load_layout
 
     cfg = _checkpoint_config(build_config(args), args.config)
+    if cfg.sample_steps > cfg.t_train:
+        raise ConfigError(f"--steps/sample_steps is {cfg.sample_steps}, above "
+                          f"the checkpoint's t_train of {cfg.t_train}: a DDIM "
+                          f"run takes each timestep at most once")
     pipe = Pipeline(cfg)
     pipe.load(cfg.checkpoint_dir)
     doc, aux = load_layout(args.layout)

@@ -16,7 +16,12 @@ MODEL_FIELDS = ("d_i", "d_t", "d_l", "d_model", "heads", "max_n",
 
 
 class ConfigError(ValueError):
-    """Raised on invalid configuration values."""
+    """Raised on invalid configuration values; `field` names the field
+    whose value alone is invalid, when there is one."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 def read_json_object(path, error: type, what: str) -> dict:
@@ -103,7 +108,13 @@ class RunConfig:
                      "image_size", "patch_size", "sample_steps",
                      "train_steps", "t_train"):
             if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive", name)
+        # the timestep embedding is sin/cos halves; the latent is a 2x2
+        # space-to-depth of the image
+        for name in ("d_model", "image_size"):
+            if getattr(self, name) % 2:
+                raise ConfigError(f"{name} must be even, got {getattr(self, name)}",
+                                  name)
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
         if self.lam < 0.0:

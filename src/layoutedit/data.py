@@ -26,6 +26,7 @@ PALETTE = np.array([
     [0.65, 0.30, 0.80],
 ], dtype=np.float64)
 BACKGROUND = 0.92
+MIN_IMAGE_SIZE = 16     # render_scene's 4x4 cell grid needs cells of 4 px
 
 
 class DatasetError(ValueError):
@@ -114,6 +115,9 @@ def generate_dataset(out_dir, seed: int, counts=None, image_size: int = 32) -> l
     for c in counts:
         if not 1 <= c <= 10:
             raise DatasetError(f"count must be in 1..10, got {c}")
+    if image_size < MIN_IMAGE_SIZE:
+        raise DatasetError(f"image_size must be at least {MIN_IMAGE_SIZE} px "
+                           f"(a 4x4 grid of cells of 4 px or more), got {image_size}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = Rng(seed).spawn("dataset")

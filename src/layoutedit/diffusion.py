@@ -6,6 +6,17 @@ Images live at 32x32; the latent is an exact space-to-depth repack to a
 is a U-shaped stack of token blocks (down1..down4, mid, up1..up4), each
 with a residual MLP, self attention, and dual-branch cross attention.
 Only the adapter-branch weights at the configured injection sites train.
+
+Guidance needs a conditional and an unconditional prediction, which
+differ only in the adapter token. `DenoiserState.forward` predicts for
+several conditions in one call: they share one stream (embeddings, and
+every block whose adapter branch has lambda 0) up to the first injection
+site where lambda is above 0. That block runs its MLP and self attention
+once, and from its cross attention on each condition runs its own
+stream. With the default `down4` site, down1..down3 and down4's MLP and
+self attention run once per DDIM step; with "all", only down1's. Each
+output still comes from the same numpy ops on the same operands, so
+the predictions are bit-equal to separate single-condition calls.
 """
 from __future__ import annotations
 
@@ -96,13 +107,16 @@ class DenoiserBlock:
         self.attn.w_o.tensor.data *= 0.2
         self.cross.w_ot.tensor.data *= 0.2
 
-    def forward(self, x: Tensor, bundle: ConditionBundle, lam: float,
-                weights_out: dict | None = None) -> Tensor:
+    def forward(self, x: Tensor, conds: list,
+                weights_out: dict | None = None) -> list:
+        """One output per (bundle, lam) in `conds`; the MLP and self
+        attention run once, the cross attention once per condition."""
         x = add(x, linear(silu(linear(x, self.w1.tensor, self.b1.tensor)),
                           self.w2.tensor))
         x = add(x, self.attn(x))
-        return add(x, dual_branch_attention(self.cross, x, bundle.f_t, bundle.f,
-                                            lam, weights_out=weights_out))
+        return [add(x, dual_branch_attention(self.cross, x, bundle.f_t, bundle.f,
+                                             lam, weights_out=weights_out))
+                for bundle, lam in conds]
 
 
 class DenoiserState:
@@ -151,24 +165,47 @@ class DenoiserState:
         return self.ip_params()
 
     # ------------------------------------------------------------------
-    @checked_once(lambda pred: (pred.data,))
-    def forward(self, z, t: int, bundle: ConditionBundle,
-                weights_out: dict | None = None) -> Tensor:
-        """Predict noise for latent tokens z at timestep t."""
+    @checked_once(lambda pred: [p.data for p in
+                                (pred if isinstance(pred, list) else [pred])])
+    def forward(self, z, t: int, bundle, weights_out: dict | None = None):
+        """Predict noise for latent tokens z at timestep t.
+
+        `bundle` is one ConditionBundle, giving one prediction, or a list
+        of bundles that share one `f_t` tensor, giving a list with one
+        prediction per bundle. The conditions share one stream until the
+        first block where some bundle's lambda times the site scale is
+        not 0; that block splits it after its self attention (see the
+        module docstring). With several bundles, `weights_out` holds the
+        last one's attention maps.
+        """
+        single = not isinstance(bundle, list)
+        bundles = [bundle] if single else bundle
+        if any(b.f_t is not bundles[0].f_t for b in bundles[1:]):
+            raise ValueError("the bundles of one forward call must share one "
+                             "f_t tensor")
         z = z if isinstance(z, Tensor) else Tensor(z)
         dt = self.w_in.data.dtype
         temb = silu(linear(
             Tensor(timestep_embedding(t, self.config.d_model)[None, :].astype(dt)),
             self.w_time.tensor, self.b_time.tensor))
-        x = add(add(linear(z, self.w_in.tensor), self.pos.tensor), temb)
+        xs = [add(add(linear(z, self.w_in.tensor), self.pos.tensor), temb)]
         for name in BLOCK_NAMES:
             scale = self.site_scales.get(name)
-            lam = 0.0 if scale is None else bundle.lam * scale
+            conds = [(b, 0.0 if scale is None else b.lam * scale) for b in bundles]
             wo = None
             if weights_out is not None and name in weights_out:
                 wo = weights_out[name]
-            x = self.blocks[name].forward(x, bundle, lam, weights_out=wo)
-        return linear(x, self.w_out.tensor, self.b_out.tensor)
+            block = self.blocks[name]
+            if len(xs) == 1 and any(lam for _, lam in conds):
+                # the first block whose cross-attention inputs differ
+                xs = block.forward(xs[0], conds, weights_out=wo)
+            else:   # a stream per condition, or the shared one with the first
+                xs = [block.forward(x, [c], weights_out=wo)[0]
+                      for x, c in zip(xs, conds)]
+        preds = [linear(x, self.w_out.tensor, self.b_out.tensor) for x in xs]
+        if single:
+            return preds[0]
+        return preds if len(preds) == len(bundles) else preds * len(bundles)
 
     def drop_image_condition(self, bundle: ConditionBundle) -> ConditionBundle:
         """Replace the adapter token by a zero token (condition dropout)."""
@@ -224,10 +261,13 @@ def training_step(state: DenoiserState, batch, bundle, rng: Rng,
 # ----------------------------------------------------------------------
 def guided_eps(state: DenoiserState, x_t, t: int, bundle: ConditionBundle,
                w: float) -> np.ndarray:
-    """w * conditional prediction + (1 - w) * unconditional prediction."""
-    cond = state.forward(x_t, t, bundle).data
-    uncond = state.forward(x_t, t, state.drop_image_condition(bundle)).data
-    return w * cond + (1.0 - w) * uncond
+    """w * conditional prediction + (1 - w) * unconditional prediction.
+
+    One `forward` call predicts both: the two conditions differ only in
+    the adapter token, so they share the stream up to the first active
+    injection site's cross attention."""
+    cond, uncond = state.forward(x_t, t, [bundle, state.drop_image_condition(bundle)])
+    return w * cond.data + (1.0 - w) * uncond.data
 
 
 def sample(state: DenoiserState, bundle: ConditionBundle, w: float,
@@ -239,6 +279,10 @@ def sample(state: DenoiserState, bundle: ConditionBundle, w: float,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if steps > state.schedule.t_train:
+        # the rounded timesteps would repeat: more passes, no finer schedule
+        raise ValueError(f"steps ({steps}) must not exceed t_train "
+                         f"({state.schedule.t_train})")
     dt = state.w_in.data.dtype
     taus = np.linspace(state.schedule.t_train - 1, 0, steps).round().astype(int)
     x = rng.normal((state.n_tokens, state.d_latent)).astype(dt)

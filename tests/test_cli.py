@@ -104,6 +104,29 @@ class TestSynth:
         err = capsys.readouterr().err
         assert str(path) in err and f"{field} must be finite" in err
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"d_model": 9, "heads": 3, "d_i": 9, "d_t": 9, "d_l": 9},
+         "d_model must be even, got 9"),
+        ({"image_size": 21, "patch_size": 7}, "image_size must be even, got 21"),
+        ({"t_train": 0}, "t_train must be positive"),
+    ])
+    def test_bad_extent_in_config_file_names_it(self, tmp_path, capsys, doc,
+                                                 message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path)]) == 1
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+
+    def test_bad_flag_value_does_not_blame_the_config_file(self, tmp_path, capsys):
+        cfg = small_config_file(tmp_path)
+        assert main(["train", "--config", cfg, "--train-steps", "0"]) == 1
+        assert "error: train_steps must be positive" in capsys.readouterr().err
+
+    def test_synth_below_16_px_names_image_size(self, tmp_path, capsys):
+        cfg = small_config_file(tmp_path, image_size=8)
+        assert main(["synth", "--config", cfg]) == 1
+        assert ("image_size must be at least 16 px" in capsys.readouterr().err)
+
     @pytest.mark.parametrize("argv,flag", [
         (["synth", "--heads", "4"], "--heads"),
         (["train", "--injection", "down9"], "--injection"),
@@ -371,6 +394,17 @@ class TestTrainAndEdit:
         assert rc == 2
         assert ("numerical failure: non-finite values produced by matmul"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "x.qlt").exists()
+
+    def test_edit_steps_above_t_train_names_both(self, trained, tmp_path, capsys):
+        root, cfg = trained
+        rc = main(["edit", "--config", cfg, "--steps", "51",
+                   "--image", str(root / "data" / "scene_000.ppm"),
+                   "--layout", str(root / "data" / "scene_000.json"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--steps/sample_steps is 51" in err and "t_train of 50" in err
         assert not (tmp_path / "x.qlt").exists()
 
     def test_edit_without_checkpoint_fails(self, tmp_path, capsys):

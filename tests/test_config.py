@@ -33,6 +33,16 @@ def test_rejects_indivisible_dims():
         RunConfig(image_size=30).validate()
 
 
+@pytest.mark.parametrize("kw,field", [
+    (dict(d_model=9, heads=3, d_i=9, d_t=9, d_l=9), "d_model"),
+    (dict(image_size=21, patch_size=7), "image_size"),
+])
+def test_rejects_odd_extents(kw, field):
+    with pytest.raises(ConfigError, match=f"{field} must be even") as info:
+        RunConfig(**kw).validate()
+    assert info.value.field == field
+
+
 def test_rejects_unknown_injection_site():
     cfg = RunConfig(injection=InjectionConfig(position="up9"))
     with pytest.raises(ConfigError, match="up9"):

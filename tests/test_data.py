@@ -143,3 +143,10 @@ class TestGenerateDataset:
     def test_bad_count_rejected(self, tmp_path):
         with pytest.raises(DatasetError):
             generate_dataset(tmp_path, seed=0, counts=[11])
+
+    @pytest.mark.parametrize("size", [4, 8, 10, 12, 15])
+    def test_image_below_16_px_rejected(self, tmp_path, size):
+        with pytest.raises(DatasetError, match=f"image_size must be at least 16 px.*"
+                                               f"got {size}"):
+            generate_dataset(tmp_path, seed=0, counts=[10], image_size=size)
+        assert not tmp_path.joinpath("index.json").exists()

@@ -280,6 +280,79 @@ class TestGuidance:
                                    st.forward(x, 50, b).data, atol=1e-12)
 
 
+def adapter_state(position, lam, dtype, ip_scale=0.7):
+    """A state whose adapter branch is not zero, in `dtype`, and a bundle."""
+    st = small_state(lam=lam, dtype=dtype,
+                     injection=InjectionConfig(position=position, ip_scale=ip_scale))
+    for p in params_of(st):
+        p.set_dtype(np.dtype(dtype).type)
+    for p in st.ip_params():
+        p.tensor.data[...] = Rng(5).spawn(p.name).normal(p.data.shape, std=0.3)
+    b = random_bundle(st)
+    return st, ConditionBundle(f_t=Tensor(b.f_t.data.astype(dtype)),
+                               f=Tensor(b.f.data.astype(dtype)), lam=lam)
+
+
+def count_mha_calls(monkeypatch, fn):
+    """Calls of `mha` through every module that binds it, while fn() runs."""
+    import layoutedit.adapter
+    import layoutedit.attention
+    calls = []
+    for mod in (layoutedit.adapter, layoutedit.attention):
+        def counted(*args, _mha=mod.mha, **kwargs):
+            calls.append(1)
+            return _mha(*args, **kwargs)
+        monkeypatch.setattr(mod, "mha", counted)
+    fn()
+    monkeypatch.undo()
+    return len(calls)
+
+
+class TestSharedGuidance:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("lam", [0.0, 0.8])
+    @pytest.mark.parametrize("position", ["down2", "down4", "mid", "all"])
+    def test_bit_equal_to_two_single_condition_passes(self, position, lam, dtype):
+        st, b = adapter_state(position, lam, dtype)
+        x = Rng(8).normal((st.n_tokens, st.d_latent)).astype(dtype)
+        cond = st.forward(x, 100, b).data
+        uncond = st.forward(x, 100, st.drop_image_condition(b)).data
+        assert (lam == 0) == np.array_equal(cond, uncond)
+        want = 5.0 * cond + (1.0 - 5.0) * uncond
+        got = guided_eps(st, x, 100, b, 5.0)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lam", [0.0, 0.8])
+    @pytest.mark.parametrize("position", ["down2", "down4", "mid", "all"])
+    def test_mha_calls_skip_the_shared_prefix(self, monkeypatch, position, lam):
+        st, b = adapter_state(position, lam, "float64")
+        x = Rng(8).normal((st.n_tokens, st.d_latent))
+        per_pass = count_mha_calls(monkeypatch, lambda: st.forward(x, 100, b))
+        per_block = per_pass // len(BLOCK_NAMES)
+        active = [i for i, name in enumerate(BLOCK_NAMES)
+                  if lam * st.site_scales.get(name, 0.0) > 0]
+        # blocks before the split whole, then the split block's self attention
+        shared = per_pass if not active else per_block * active[0] + 1
+        assert count_mha_calls(monkeypatch, lambda: guided_eps(st, x, 100, b, 5.0)) \
+            == 2 * per_pass - shared
+
+    def test_one_prediction_per_bundle(self):
+        st, b = adapter_state("down4", 0.8, "float64")
+        x = Rng(8).normal((st.n_tokens, st.d_latent))
+        bundles = [b, st.drop_image_condition(b), b]
+        preds = st.forward(x, 100, bundles)
+        assert len(preds) == 3
+        for pred, one in zip(preds, bundles):
+            assert pred.data.tobytes() == st.forward(x, 100, one).data.tobytes()
+
+    def test_bundles_must_share_f_t(self):
+        st, b = adapter_state("down4", 0.8, "float64")
+        x = Rng(8).normal((st.n_tokens, st.d_latent))
+        other = ConditionBundle(f_t=Tensor(b.f_t.data + 1.0), f=b.f, lam=b.lam)
+        with pytest.raises(ValueError, match="share one f_t"):
+            st.forward(x, 100, [b, other])
+
+
 class TestSample:
     def test_deterministic(self):
         st = small_state()
@@ -303,6 +376,13 @@ class TestSample:
         st = small_state()
         with pytest.raises(ValueError):
             sample(st, random_bundle(st), w=1.0, steps=0, rng=Rng(0))
+
+    def test_steps_above_t_train_rejected(self):
+        st = small_state(t_train=4)
+        assert sample(st, random_bundle(st), w=1.0, steps=4, rng=Rng(0)).shape \
+            == (st.n_tokens, st.d_latent)
+        with pytest.raises(ValueError, match="t_train"):
+            sample(st, random_bundle(st), w=1.0, steps=5, rng=Rng(0))
 
     def test_output_dtype_follows_config(self):
         st = small_state(dtype="float32")
