@@ -55,28 +55,33 @@ class DualBranchAttention:
     lambda. The adapter-branch output projection is zero-initialized so
     a fresh model ignores the adapter token; the value projection stays
     random (zeroing both would zero the gradient of their product).
+    `adapter` gives the adapter branch's key/value streams: True, the
+    block's own; a function from "w_kf"/"w_vf" to an Rng; or False for
+    no adapter branch (its three weights are None), as off injection sites.
     """
 
     def __init__(self, name: str, d_z: int, d_t: int, d_i: int, heads: int,
-                 rng: Rng):
+                 rng: Rng, adapter=True):
         self.heads = heads
         r = rng.spawn(name)
 
-        def p(sub, d_in, d_out, zero=False):
-            data = (np.zeros((d_in, d_out)) if zero
-                    else r.spawn(sub).normal((d_in, d_out), std=1.0 / np.sqrt(d_in)))
-            return Param(f"{name}.{sub}", data)
+        def p(sub, d_in, d_out, stream=r.spawn):
+            return Param(f"{name}.{sub}", stream(sub).normal(
+                (d_in, d_out), std=1.0 / np.sqrt(d_in)))
 
         self.w_q = p("w_q", d_z, d_z)
         self.w_kt = p("w_kt", d_t, d_z)
         self.w_vt = p("w_vt", d_t, d_z)
         self.w_ot = p("w_ot", d_z, d_z)
-        self.w_kf = p("w_kf", d_i, d_z)
-        self.w_vf = p("w_vf", d_i, d_z)
-        self.w_of = p("w_of", d_z, d_z, zero=True)
+        self.w_kf = self.w_vf = self.w_of = None
+        if adapter:
+            stream = r.spawn if adapter is True else adapter
+            self.w_kf = p("w_kf", d_i, d_z, stream)
+            self.w_vf = p("w_vf", d_i, d_z, stream)
+            self.w_of = Param(f"{name}.w_of", np.zeros((d_z, d_z)))
 
     def ip_params(self):
-        return [self.w_kf, self.w_vf, self.w_of]
+        return [] if self.w_kf is None else [self.w_kf, self.w_vf, self.w_of]
 
 
 def dual_branch_attention(block: DualBranchAttention, z: Tensor,
@@ -84,8 +89,8 @@ def dual_branch_attention(block: DualBranchAttention, z: Tensor,
                           weights_out: dict | None = None) -> Tensor:
     """Sum of the frozen text branch and lambda times the adapter branch.
 
-    With lam == 0 the result is bit-equal to the text branch alone, and
-    the output is affine in lam.
+    With lam == 0, or without an adapter branch, the result is bit-equal
+    to the text branch alone, and the output is affine in lam.
     """
     q = linear(z, block.w_q.tensor)
     k_t = linear(f_t, block.w_kt.tensor)
@@ -95,6 +100,8 @@ def dual_branch_attention(block: DualBranchAttention, z: Tensor,
                   block.w_ot.tensor)
     if weights_out is not None:
         weights_out["text"] = text_w["weights"]
+    if block.w_kf is None:
+        return text
 
     k_f = linear(f, block.w_kf.tensor)
     v_f = linear(f, block.w_vf.tensor)
@@ -106,4 +113,3 @@ def dual_branch_attention(block: DualBranchAttention, z: Tensor,
     if lam == 0.0:
         return text
     return add(text, mul(ip, float(lam)))
-

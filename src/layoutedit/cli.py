@@ -15,7 +15,7 @@ import numpy as np
 from .config import (INJECTION_SITES, MODEL_FIELDS, ConfigError, RunConfig,
                      read_json_object)
 from .data import DatasetError, generate_dataset, write_ppm
-from .diffusion import BLOCK_NAMES
+from .diffusion import BLOCK_NAMES, IP_SEED_OFFSET
 from .encoders import VocabError
 from .gradcheck import REL_TOL, audit, projection_head
 from .layout import LayoutError, load_layout_json
@@ -132,7 +132,9 @@ def cmd_train(args) -> int:
 
     cfg = build_config(args)
     pipe = Pipeline(cfg)
-    source = pipe.init_ip_weights(args.ip_checkpoint, seed=cfg.seed + 7)
+    if args.ip_checkpoint:
+        pipe.load_ip_weights(args.ip_checkpoint)
+    source = "checkpoint" if args.ip_checkpoint else f"random({cfg.seed + IP_SEED_OFFSET})"
     ckpt = Path(cfg.checkpoint_dir)
     ckpt.mkdir(parents=True, exist_ok=True)
     losses = pipe.train(cfg.data_dir, log_path=ckpt / "loss_log.jsonl",
@@ -275,9 +277,9 @@ def cmd_dump_attention(args) -> int:
                           t, bundle, weights_out=capture)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for branch in ("text", "adapter"):
+    for branch, weights in capture[args.site].items():   # text, then any adapter
         path = out_dir / f"{args.site}_{branch}.qlt"
-        save_qlt(path, capture[args.site][branch])
+        save_qlt(path, weights)
         print(f"wrote {path}")
     return 0
 

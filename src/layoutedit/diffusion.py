@@ -4,13 +4,13 @@ dual-branch conditioning injection.
 Images live at 32x32; the latent is an exact space-to-depth repack to a
 16x16 grid of 12-channel tokens (no learned autoencoder). The denoiser
 is a U-shaped stack of token blocks (down1..down4, mid, up1..up4), each
-with a residual MLP, self attention, and dual-branch cross attention.
-Only the adapter-branch weights at the configured injection sites train.
+with a residual MLP, self attention, and cross attention; only the
+injection sites have an adapter branch, and only its weights train.
 
 Guidance needs a conditional and an unconditional prediction, which
 differ only in the adapter token. `DenoiserState.forward` predicts for
 several conditions in one call: they share one stream (embeddings, and
-every block whose adapter branch has lambda 0) up to the first injection
+every block with no adapter branch or lambda 0) up to the first injection
 site where lambda is above 0. That block runs its MLP and self attention
 once, and from its cross attention on each condition runs its own
 stream. With the default `down4` site, down1..down3 and down4's MLP and
@@ -34,6 +34,7 @@ from .tensor import (NumericsError, Param, Tensor, add, checked_once, linear,
 BLOCK_NAMES = ("down1", "down2", "down3", "down4", "mid",
                "up1", "up2", "up3", "up4")
 FACTOR = 2      # space-to-depth factor between image pixels and latent tokens
+IP_SEED_OFFSET = 7  # the adapter branch draws from Rng(config.seed + this)
 
 
 # ----------------------------------------------------------------------
@@ -94,14 +95,15 @@ class DenoiserBlock:
     """Residual MLP + self attention + dual-branch cross attention."""
 
     def __init__(self, name: str, d_model: int, d_t: int, d_i: int,
-                 heads: int, rng: Rng):
+                 heads: int, rng: Rng, adapter):
         r = rng.spawn(name)
         self.name = name
         self.w1 = _proj(f"{name}.w1", r, d_model, d_model)
         self.b1 = Param(f"{name}.b1", np.zeros(d_model))
         self.w2 = _proj(f"{name}.w2", r, d_model, d_model, std=0.1 / np.sqrt(d_model))
         self.attn = SelfAttention(f"{name}.attn", r, d_model, d_model, heads)
-        self.cross = DualBranchAttention(f"{name}.cross", d_model, d_t, d_i, heads, r)
+        self.cross = DualBranchAttention(f"{name}.cross", d_model, d_t, d_i,
+                                         heads, r, adapter)
         # damp the frozen residual branches so activations stay O(1)
         # across the nine-block stack
         self.attn.w_o.tensor.data *= 0.2
@@ -128,8 +130,8 @@ class DenoiserState:
         grid = config.image_size // FACTOR
         self.n_tokens = grid * grid
         self.d_latent = 3 * FACTOR * FACTOR
-        # Adapter scale per injection site, in block order; every other site
-        # runs its text branch alone. The "all" ablation scales only down4.
+        # Adapter scale per injection site, in block order. Only these sites
+        # have an adapter branch; the "all" ablation scales only down4.
         inj = config.injection
         self.site_scales = ({**dict.fromkeys(BLOCK_NAMES, 1.0), "down4": inj.ip_scale}
                             if inj.position == "all" else {inj.position: inj.ip_scale})
@@ -139,9 +141,12 @@ class DenoiserState:
         self.pos = Param("den.pos", r.spawn("pos").normal((self.n_tokens, d), std=0.1))
         self.w_time = _proj("den.w_time", r, d, d)
         self.b_time = Param("den.b_time", np.zeros(d))
-        self.blocks = {name: DenoiserBlock(f"den.{name}", d, config.d_t,
-                                           config.d_i, config.heads, r)
-                       for name in BLOCK_NAMES}
+        # an adapter branch only at injection sites, from streams "<site>.w_kf" etc.
+        ip_rng = Rng(config.seed + IP_SEED_OFFSET)
+        self.blocks = {name: DenoiserBlock(
+            f"den.{name}", d, config.d_t, config.d_i, config.heads, r,
+            name in self.site_scales and (lambda sub, s=name: ip_rng.spawn(f"{s}.{sub}")))
+            for name in BLOCK_NAMES}
         self.w_out = _proj("den.w_out", r, d, self.d_latent, std=0.3 / np.sqrt(d))
         # Deliberate output bias: a fresh model predicts noise with a fixed
         # offset of magnitude 3 that the adapter branch can learn to cancel.
@@ -152,12 +157,11 @@ class DenoiserState:
 
     # ------------------------------------------------------------------
     def ip_params(self):
-        """The adapter-branch weights at the injection sites: all that trains."""
-        return [p for name in self.site_scales
-                for p in self.blocks[name].cross.ip_params()]
+        """Every adapter-branch weight: all that trains."""
+        return [p for blk in self.blocks.values() for p in blk.cross.ip_params()]
 
     def set_trainable(self):
-        """Freeze everything except the adapter branch at injection sites."""
+        """Freeze everything except the adapter branch."""
         for p in params_of(self):
             p.tensor.requires_grad = False
         for p in self.ip_params():

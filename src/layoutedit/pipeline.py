@@ -81,26 +81,10 @@ class Pipeline:
         """Copy every parameter from a checkpoint; returns its manifest."""
         return self._copy_from(directory, self.named_params().values())
 
-    def init_ip_weights(self, checkpoint_dir=None, seed: int = 7) -> str:
-        """Initialize the adapter-branch weights at the injection sites.
-
-        From a prior checkpoint when one is given, else from the seed:
-        random key/value projections and a zero output projection.
-        Returns the init source, "checkpoint" or "random(seed)".
-        """
-        if checkpoint_dir is not None:
-            self._copy_from(checkpoint_dir, self.denoiser.ip_params())
-            return "checkpoint"
-        rng = Rng(seed)
-        for site in self.denoiser.site_scales:
-            blk = self.denoiser.blocks[site].cross
-            for param in (blk.w_kf, blk.w_vf):
-                sub = param.name.rsplit(".", 1)[-1]
-                param.tensor.data = rng.spawn(f"{site}.{sub}").normal(
-                    param.data.shape, std=1.0 / np.sqrt(param.data.shape[0])
-                ).astype(param.data.dtype)
-            blk.w_of.tensor.data = np.zeros_like(blk.w_of.data)
-        return f"random({seed})"
+    def load_ip_weights(self, directory):
+        """Copy only the adapter-branch weights from a checkpoint; returns
+        its manifest."""
+        return self._copy_from(directory, self.denoiser.ip_params())
 
     @staticmethod
     def _copy_from(directory, params) -> dict:

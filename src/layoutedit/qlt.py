@@ -56,10 +56,12 @@ def save_checkpoint(directory, named_arrays: dict, extra: dict | None = None):
     """Write named arrays as QLT files plus a manifest.
 
     `extra` entries are copied verbatim into the manifest (e.g. the
-    run config).
+    run config). The old manifest goes first and the new one comes last,
+    through a temp file: a write that stops part way leaves none.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    (directory / "manifest.json").unlink(missing_ok=True)
     manifest = {"tensors": {}}
     for name in sorted(named_arrays):
         fname = name.replace("/", "_").replace(".", "_") + ".qlt"
@@ -70,8 +72,10 @@ def save_checkpoint(directory, named_arrays: dict, extra: dict | None = None):
         }
     if extra:
         manifest.update(extra)
-    with open(directory / "manifest.json", "w") as f:
+    tmp = directory / "manifest.json.tmp"
+    with open(tmp, "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
+    tmp.replace(directory / "manifest.json")
 
 
 def read_manifest(directory) -> dict:

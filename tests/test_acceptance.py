@@ -282,7 +282,6 @@ def smoke_run(tmp_path_factory):
                     checkpoint_dir=str(ckpt_dir))
     generate_dataset(data_dir, seed=cfg.seed, counts=range(1, 9))
     pipe = Pipeline(cfg)
-    pipe.init_ip_weights(None, seed=cfg.seed + 7)
     before = {n: p.data.copy() for n, p in pipe.named_params().items()}
     start = time.time()
     losses = pipe.train(data_dir)

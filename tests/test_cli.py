@@ -8,9 +8,11 @@ import pytest
 from layoutedit.cli import main
 from layoutedit.config import RunConfig
 from layoutedit.data import caption_for
+from layoutedit.diffusion import BLOCK_NAMES
 from layoutedit.layout import load_layout_json
 from layoutedit.pipeline import Pipeline, load_image
-from layoutedit.qlt import load_qlt, save_qlt
+from layoutedit.qlt import load_checkpoint, load_qlt, save_checkpoint, save_qlt
+from layoutedit.rng import Rng
 
 
 def small_config_file(tmp_path, **kw):
@@ -310,6 +312,46 @@ class TestTrainAndEdit:
         np.testing.assert_array_equal(load_qlt(out_base.with_suffix(".qlt")),
                                       want.astype(np.float32))
 
+    def test_edit_ignores_adapter_arrays_at_other_sites(self, trained, tmp_path):
+        # A checkpoint written when every block carried an adapter branch
+        # has 24 more arrays; they are not read, and the edit is the same.
+        root, _ = trained
+        arrays, manifest = load_checkpoint(root / "ckpt")
+        extra = {f"den.{site}.cross.{w}": Rng(6).spawn(f"{site}.{w}").normal(
+                     arrays[f"den.down4.cross.{w}"].shape)
+                 for site in BLOCK_NAMES if site != "down4"
+                 for w in ("w_kf", "w_vf", "w_of")}
+        assert len(extra) == 24
+        save_checkpoint(tmp_path / "old", {**arrays, **extra},
+                        extra={"config": manifest["config"]})
+        outs = []
+        for ckpt in (root / "ckpt", tmp_path / "old"):
+            out = tmp_path / ckpt.name / "edit"
+            assert main(["edit", "--checkpoint-dir", str(ckpt), "--steps", "3",
+                         "--image", str(root / "data" / "scene_001.ppm"),
+                         "--layout", str(root / "data" / "scene_001.json"),
+                         "--prompt", "two circles", "--out", str(out)]) == 0
+            outs.append([out.with_suffix(s).read_bytes() for s in (".qlt", ".ppm")])
+        assert outs[0] == outs[1]
+
+    def test_edit_manifest_site_without_adapter_arrays(self, trained, tmp_path,
+                                                       capsys):
+        root, _ = trained
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(root / "ckpt", ckpt)
+        mpath = ckpt / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["config"]["injection"]["position"] = "mid"
+        mpath.write_text(json.dumps(manifest))
+        rc = main(["edit", "--checkpoint-dir", str(ckpt),
+                   "--image", str(root / "data" / "scene_000.ppm"),
+                   "--layout", str(root / "data" / "scene_000.json"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert ("checkpoint missing parameter den.mid.cross.w_kf"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.qlt").exists()
+
     def test_edit_config_conflicting_with_checkpoint_names_field(
             self, trained, tmp_path, capsys):
         root, _ = trained
@@ -528,13 +570,14 @@ class TestGradcheck:
         assert main(["gradcheck", "--entries", "2"]) == 0
         *table, summary = capsys.readouterr().out.splitlines()
         rows = {line.split()[0]: line.split()[-1] for line in table[1:]}
-        assert len(rows) == 182 and "FAIL" not in rows.values()
+        assert len(rows) == 158 and "FAIL" not in rows.values()
         assert summary.startswith(
-            "182 groups checked, 0 failed, 56 with an all-zero gradient")
-        assert sum(r == "zero" for r in rows.values()) == 56
-        # an inactive site's adapter learns nothing; at down4, w_of starts
-        # at zero, so only w_of gets a gradient there
-        assert rows["den.down1.cross.w_of"] == "zero"
+            "158 groups checked, 0 failed, 32 with an all-zero gradient")
+        assert sum(r == "zero" for r in rows.values()) == 32
+        # only the injection site has an adapter branch; there w_of starts
+        # at zero, so only w_of gets a gradient
+        assert [r for r in rows if r.endswith(("w_kf", "w_vf", "w_of"))] == [
+            "den.down4.cross.w_kf", "den.down4.cross.w_vf", "den.down4.cross.w_of"]
         assert rows["den.down4.cross.w_vf"] == "zero"
         assert rows["den.down4.cross.w_of"] == "pass"
         # only the prompt's rows get a gradient, but the group is not zero
@@ -569,6 +612,19 @@ class TestDumpAttention:
         assert adapter.shape == (2, 64, 1)
         np.testing.assert_allclose(text.sum(axis=-1), 1.0, atol=1e-6)
         np.testing.assert_allclose(adapter.sum(axis=-1), 1.0, atol=1e-6)
+
+    def test_site_without_adapter_writes_the_text_map_only(self, trained,
+                                                          tmp_path, capsys):
+        root, _ = trained
+        out_dir = tmp_path / "attn"
+        rc = main(["dump-attn", "--checkpoint-dir", str(root / "ckpt"),
+                   "--image", str(root / "data" / "scene_000.ppm"),
+                   "--layout", str(root / "data" / "scene_000.json"),
+                   "--site", "down1", "--out", str(out_dir)])
+        assert rc == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["down1_text.qlt"]
+        assert capsys.readouterr().out.count("wrote") == 1
+        assert load_qlt(out_dir / "down1_text.qlt").shape == (2, 64, 1)
 
     def test_builds_the_model_from_a_checkpoint(self, trained, tmp_path):
         root, _ = trained

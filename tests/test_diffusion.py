@@ -147,6 +147,16 @@ class TestDenoiserForward:
         np.testing.assert_array_equal(d.f.data, 0.0)
         assert d.f_t is b.f_t
 
+    @pytest.mark.parametrize("position", ["down2", "down4", "mid", "all"])
+    def test_adapter_branch_only_at_injection_sites(self, position):
+        st = small_state(injection=InjectionConfig(position=position))
+        sites = [n for n in BLOCK_NAMES if st.blocks[n].cross.w_kf is not None]
+        assert sites == list(st.site_scales)
+        assert [p.name for p in st.ip_params()] == [
+            f"den.{n}.cross.{w}" for n in sites for w in ("w_kf", "w_vf", "w_of")]
+        # per block: the MLP's 3, self attention's 4 and the text branch's 4
+        assert len(params_of(st)) == 11 * len(BLOCK_NAMES) + 6 + 3 * len(sites)
+
     def test_set_trainable_marks_only_adapter_weights(self):
         st = small_state()
         trainable = st.set_trainable()
@@ -327,14 +337,23 @@ class TestSharedGuidance:
     def test_mha_calls_skip_the_shared_prefix(self, monkeypatch, position, lam):
         st, b = adapter_state(position, lam, "float64")
         x = Rng(8).normal((st.n_tokens, st.d_latent))
-        per_pass = count_mha_calls(monkeypatch, lambda: st.forward(x, 100, b))
-        per_block = per_pass // len(BLOCK_NAMES)
+        # self attention and the text branch, plus the adapter branch where
+        # the block has one
+        per_block = [2 + bool(st.blocks[name].cross.ip_params())
+                     for name in BLOCK_NAMES]
+        per_pass = sum(per_block)
+        assert count_mha_calls(monkeypatch, lambda: st.forward(x, 100, b)) == per_pass
         active = [i for i, name in enumerate(BLOCK_NAMES)
                   if lam * st.site_scales.get(name, 0.0) > 0]
         # blocks before the split whole, then the split block's self attention
-        shared = per_pass if not active else per_block * active[0] + 1
+        shared = per_pass if not active else sum(per_block[:active[0]]) + 1
+        per_step = 2 * per_pass - shared
         assert count_mha_calls(monkeypatch, lambda: guided_eps(st, x, 100, b, 5.0)) \
-            == 2 * per_pass - shared
+            == per_step
+        assert count_mha_calls(monkeypatch, lambda: sample(st, b, 5.0, 2, Rng(0))) \
+            == 2 * per_step
+        if (position, lam) == ("down4", 0.8):
+            assert (per_pass, per_step) == (19, 31)
 
     def test_one_prediction_per_bundle(self):
         st, b = adapter_state("down4", 0.8, "float64")

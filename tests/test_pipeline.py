@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from layoutedit import pipeline, tensor
 from layoutedit.adapter import fuse
+from layoutedit.cli import main
 from layoutedit.cmam import cmam_forward
 from layoutedit.config import RunConfig
 from layoutedit.data import generate_dataset
@@ -44,13 +46,16 @@ def test_named_params_unique_and_typed(pipe):
 
 # SHA-256 over the sorted parameter names and float32 bytes of a default
 # Pipeline: renaming any RNG stream or changing any init moves it.
-DEFAULT_PARAM_DIGEST = ("20f012162b24ad2dab939c41387f134f"
-                        "56ca75c6164eaab2208e97a692f1ff9e")
+DEFAULT_PARAM_DIGEST = ("70202d2d3cc2c87e0b855ba17267d68c"
+                        "aa93777e5396f615638ae268211ddad8")
 
 
 def test_default_param_init_is_pinned():
+    params = Pipeline(RunConfig()).named_params()
+    # 182 with an adapter branch at all nine blocks; the default has one
+    assert len(params) == 158
     h = hashlib.sha256()
-    for name, p in sorted(Pipeline(RunConfig()).named_params().items()):
+    for name, p in sorted(params.items()):
         h.update(name.encode())
         h.update(np.ascontiguousarray(p.data, dtype=np.float32).tobytes())
     assert h.hexdigest() == DEFAULT_PARAM_DIGEST
@@ -79,7 +84,6 @@ def trained_pipe(tmp_path, monkeypatch, **kw):
     generate_dataset(cfg.data_dir, seed=cfg.seed, counts=[1, 2],
                      image_size=cfg.image_size)
     pipe = Pipeline(cfg)
-    pipe.init_ip_weights(None, seed=cfg.seed + 7)
     calls, dtypes = [], {"nodes": set(), "adamw": set()}
     real_adamw, real_node = pipeline.adamw_step, tensor._node
 
@@ -187,7 +191,7 @@ class TestNonFiniteWeights:
 
     @pytest.mark.parametrize("name,op", [
         ("den.mid.w1", "matmul"), ("den.pos", "add"),
-        ("den.down4.cross.w_of", "matmul"), ("den.down1.cross.w_kf", "matmul")])
+        ("den.down4.cross.w_of", "matmul"), ("den.down4.cross.w_kf", "matmul")])
     def test_in_a_denoiser_pass(self, pipe, name, op):
         bundle = self.condition(pipe)
         self.plant(pipe, name)
@@ -196,11 +200,11 @@ class TestNonFiniteWeights:
                 pytest.raises(NumericsError, match=f"produced by {op}$"):
             pipe.denoiser.forward(z, 7, bundle)
 
-    @pytest.mark.parametrize("name", ["den.down1.cross.w_vf", "den.down1.cross.w_of"])
+    @pytest.mark.parametrize("name", ["den.down4.cross.w_vf", "den.down4.cross.w_of"])
     def test_in_a_discarded_adapter_branch(self, pipe, name):
-        # At a lam == 0 site the adapter branch's output never reaches the
+        # With lam 0 the adapter branch's output never reaches the
         # prediction, which stays bit-equal to the clean one.
-        bundle = self.condition(pipe)
+        bundle = dataclasses.replace(self.condition(pipe), lam=0.0)
         z = np.zeros((pipe.denoiser.n_tokens, pipe.denoiser.d_latent), np.float32)
         clean = pipe.denoiser.forward(z, 7, bundle).data
         self.plant(pipe, name)
@@ -244,40 +248,32 @@ def test_load_missing_param(pipe, tmp_path):
         pipe.load(tmp_path / "bad")
 
 
-def test_init_ip_weights_deterministic(tmp_path):
-    a = Pipeline(small_config(tmp_path))
-    b = Pipeline(small_config(tmp_path))
-    assert a.init_ip_weights(None, seed=5) == "random(5)"
-    b.init_ip_weights(None, seed=5)
-    np.testing.assert_array_equal(
-        a.denoiser.blocks["down4"].cross.w_kf.data,
-        b.denoiser.blocks["down4"].cross.w_kf.data)
-
-
-
 class TestInitIpWeights:
     @staticmethod
     def cross(pipe):
         return pipe.denoiser.blocks["down4"].cross
 
-    def test_none_gives_seeded_random(self, tmp_path):
-        a = Pipeline(small_config(tmp_path))
-        b = Pipeline(small_config(tmp_path))
-        assert a.init_ip_weights(None, seed=7) == "random(7)"
-        b.init_ip_weights(None, seed=7)
-        np.testing.assert_array_equal(self.cross(a).w_kf.data,
-                                      self.cross(b).w_kf.data)
-        np.testing.assert_array_equal(self.cross(a).w_of.data, 0.0)
-        assert np.abs(self.cross(a).w_vf.data).sum() > 0
+    def test_library_train_matches_cli_train(self, tmp_path):
+        # the model is built with its adapter branch initialised, so no
+        # caller has to initialise it before training
+        cfg = small_config(tmp_path)
+        generate_dataset(cfg.data_dir, seed=cfg.seed, counts=[1, 2],
+                         image_size=cfg.image_size)
+        cfg.save(tmp_path / "config.json")
+        assert main(["train", "--config", str(tmp_path / "config.json")]) == 0
+        pipe = Pipeline(cfg)
+        np.testing.assert_array_equal(self.cross(pipe).w_of.data, 0.0)
+        pipe.train(cfg.data_dir, log_path=tmp_path / "loss_log.jsonl")
+        assert ((tmp_path / "loss_log.jsonl").read_bytes()
+                == (tmp_path / "ckpt" / "loss_log.jsonl").read_bytes())
 
     def test_checkpoint_roundtrip(self, tmp_path):
         pipe = Pipeline(small_config(tmp_path))
-        pipe.init_ip_weights(None, seed=3)
-        named = {p.name: p.data.astype(np.float32)
+        named = {p.name: Rng(3).spawn(p.name).normal(p.data.shape).astype(np.float32)
                  for p in self.cross(pipe).ip_params()}
         save_checkpoint(tmp_path / "ip", named)
         fresh = Pipeline(small_config(tmp_path))
-        assert fresh.init_ip_weights(tmp_path / "ip") == "checkpoint"
+        fresh.load_ip_weights(tmp_path / "ip")
         blk = self.cross(fresh)
         for name in ("w_kf", "w_vf", "w_of"):
             np.testing.assert_array_equal(
@@ -287,7 +283,7 @@ class TestInitIpWeights:
     def test_missing_weight(self, tmp_path):
         save_checkpoint(tmp_path / "ip", {})
         with pytest.raises(QltError, match="missing"):
-            Pipeline(small_config(tmp_path)).init_ip_weights(tmp_path / "ip")
+            Pipeline(small_config(tmp_path)).load_ip_weights(tmp_path / "ip")
 
     def test_shape_mismatch_names_weight(self, tmp_path):
         pipe = Pipeline(small_config(tmp_path))
@@ -295,14 +291,14 @@ class TestInitIpWeights:
                  for p in self.cross(pipe).ip_params()}
         save_checkpoint(tmp_path / "ip", named)
         with pytest.raises(QltError, match="den.down4.cross.w_kf"):
-            pipe.init_ip_weights(tmp_path / "ip")
+            pipe.load_ip_weights(tmp_path / "ip")
+
 
 def test_train_logs_and_updates_only_adapter(tmp_path):
     cfg = small_config(tmp_path)
     generate_dataset(cfg.data_dir, seed=cfg.seed, counts=[1, 2],
                      image_size=cfg.image_size)
     pipe = Pipeline(cfg)
-    pipe.init_ip_weights(None, seed=cfg.seed + 7)
     before = {n: p.data.copy() for n, p in pipe.named_params().items()}
     log = tmp_path / "loss.jsonl"
     losses = pipe.train(cfg.data_dir, log_path=log)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from layoutedit import qlt
 from layoutedit.qlt import (MAGIC, QltError, load_checkpoint, load_qlt,
                             read_manifest, save_checkpoint, save_qlt)
 from layoutedit.rng import Rng
@@ -56,6 +57,31 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(arrays["w"], named["w"])
     assert manifest["ip_attention"] == {"down4": {}}
     assert read_manifest(tmp_path / "ckpt") == manifest
+
+
+def test_interrupted_save_leaves_a_checkpoint_that_does_not_load(tmp_path,
+                                                                  monkeypatch):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, {"a": np.zeros(2, np.float32), "b": np.ones(2, np.float32)})
+    # the manifest replaces a temp file, which leaves nothing behind
+    assert sorted(p.name for p in ckpt.iterdir()) == ["a.qlt", "b.qlt",
+                                                      "manifest.json"]
+    written = []
+
+    def failing_save(path, arr):
+        if written:
+            raise OSError("disk full")
+        written.append(path)
+        save_qlt(path, arr)
+
+    monkeypatch.setattr(qlt, "save_qlt", failing_save)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(ckpt, {"a": np.full(2, 5, np.float32),
+                               "b": np.full(2, 6, np.float32)})
+    # the new a.qlt sits next to the old b.qlt, and no manifest claims either
+    np.testing.assert_array_equal(load_qlt(ckpt / "a.qlt"), 5.0)
+    with pytest.raises(QltError, match="no manifest.json"):
+        load_checkpoint(ckpt)
 
 
 def test_checkpoint_shape_mismatch(tmp_path):
