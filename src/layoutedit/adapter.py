@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import CrossAttention
+from .attention import CrossAttention, attend
 from .rng import Rng
-from .tensor import Param, Tensor, add, linear, mha, mul
+from .tensor import Param, Tensor, add, linear, mul
 
 
 @dataclass
@@ -89,25 +89,22 @@ def dual_branch_attention(block: DualBranchAttention, z: Tensor,
                           weights_out: dict | None = None) -> Tensor:
     """Sum of the frozen text branch and lambda times the adapter branch.
 
-    With lam == 0, or without an adapter branch, the result is bit-equal
-    to the text branch alone, and the output is affine in lam.
+    Both branches are `attend` calls from one shared query projection,
+    IP-Adapter's decoupled cross attention: the text branch over `f_t`,
+    the adapter branch over `f`. With lam == 0, or without an adapter
+    branch, the result is bit-equal to the text branch alone, and the
+    output is affine in lam.
     """
     q = linear(z, block.w_q.tensor)
-    k_t = linear(f_t, block.w_kt.tensor)
-    v_t = linear(f_t, block.w_vt.tensor)
     text_w = {} if weights_out is not None else None
-    text = linear(mha(q, k_t, v_t, block.heads, weights_out=text_w),
-                  block.w_ot.tensor)
+    text = attend(q, f_t, block.w_kt, block.w_vt, block.w_ot, block.heads, text_w)
     if weights_out is not None:
         weights_out["text"] = text_w["weights"]
     if block.w_kf is None:
         return text
 
-    k_f = linear(f, block.w_kf.tensor)
-    v_f = linear(f, block.w_vf.tensor)
     ip_w = {} if weights_out is not None else None
-    ip = linear(mha(q, k_f, v_f, block.heads, weights_out=ip_w),
-                block.w_of.tensor)
+    ip = attend(q, f, block.w_kf, block.w_vf, block.w_of, block.heads, ip_w)
     if weights_out is not None:
         weights_out["adapter"] = ip_w["weights"]
     if lam == 0.0:

@@ -1,4 +1,11 @@
-"""Projection-wrapped attention blocks shared across modules."""
+"""Projected attention shared across modules.
+
+`attend` is the one "project keys and values from a source, attend,
+project out" path: the blocks here, CMAM, `fuse` and both branches of
+the dual-branch attention (which share one query) run through it. ILFM
+calls `mha` itself: its keys join two projected sources with positions,
+it masks padded boxes, and it has no output projection.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -10,6 +17,15 @@ from .tensor import Param, Tensor, concat, linear, mha
 def _proj(name: str, rng: Rng, d_in: int, d_out: int, std: float | None = None) -> Param:
     std = std if std is not None else 1.0 / np.sqrt(d_in)
     return Param(name, rng.spawn(name).normal((d_in, d_out), std=std))
+
+
+def attend(q: Tensor, source: Tensor, w_k: Param, w_v: Param, w_o: Param,
+           heads: int, weights_out: dict | None = None) -> Tensor:
+    """mha(q, source @ w_k, source @ w_v) @ w_o for a projected query `q`;
+    `mha` stores the per-head weights in `weights_out["weights"]`."""
+    k = linear(source, w_k.tensor)
+    v = linear(source, w_v.tensor)
+    return linear(mha(q, k, v, heads, weights_out=weights_out), w_o.tensor)
 
 
 class CrossAttention:
@@ -28,10 +44,8 @@ class CrossAttention:
         self.w_o = _proj(f"{name}.w_o", rng, d_attn, d_out)
 
     def __call__(self, f1: Tensor, f2: Tensor) -> Tensor:
-        q = linear(f1, self.w_q.tensor)
-        k = linear(f2, self.w_k.tensor)
-        v = linear(f2, self.w_v.tensor)
-        return linear(mha(q, k, v, self.heads), self.w_o.tensor)
+        return attend(linear(f1, self.w_q.tensor), f2, self.w_k, self.w_v,
+                      self.w_o, self.heads)
 
 
 class SelfAttention(CrossAttention):

@@ -117,6 +117,20 @@ def _parse_counts(spec: str) -> list:
     return out
 
 
+def _load_inputs(args, cfg: RunConfig):
+    """The --layout document, its auxiliary caption and the --image array,
+    which must be (3, image_size, image_size)."""
+    from .pipeline import load_image, load_layout
+
+    doc, aux = load_layout(args.layout)
+    image = load_image(args.image)
+    expected = (3, cfg.image_size, cfg.image_size)
+    if image.shape != expected:
+        raise ValueError(f"--image {args.image}: shape {image.shape} does not "
+                         f"match the expected {expected}")
+    return doc, aux, image
+
+
 # ----------------------------------------------------------------------
 def cmd_synth(args) -> int:
     cfg = build_config(args)
@@ -146,7 +160,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_edit(args) -> int:
-    from .pipeline import Pipeline, load_image, load_layout
+    from .pipeline import Pipeline
 
     cfg = _checkpoint_config(build_config(args), args.config)
     if cfg.sample_steps > cfg.t_train:
@@ -155,8 +169,7 @@ def cmd_edit(args) -> int:
                           f"run takes each timestep at most once")
     pipe = Pipeline(cfg)
     pipe.load(cfg.checkpoint_dir)
-    doc, aux = load_layout(args.layout)
-    image = load_image(args.image)
+    doc, aux, image = _load_inputs(args, cfg)
     # load_layout checked the caption's words, so a VocabError is the prompt's
     try:
         out = pipe.edit(image, doc["boxes"], aux, args.prompt)
@@ -172,6 +185,8 @@ def cmd_edit(args) -> int:
 
 def cmd_eval(args) -> int:
     pred_dir, gt_dir = Path(args.pred_dir), Path(args.gt_dir)
+    if not pred_dir.is_dir():
+        raise ConfigError(f"--pred-dir: {pred_dir} is not an existing directory")
     gt_docs = {g: read_json_object(g, LayoutError, "ground truth")
                for g in sorted(gt_dir.glob("*.json"))}
     # a file with no key of either schema, such as a dataset's index.json,
@@ -247,7 +262,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_dump_attention(args) -> int:
-    from .pipeline import Pipeline, load_image, load_layout
+    from .pipeline import Pipeline
 
     cfg = build_config(args)
     if args.site not in BLOCK_NAMES:
@@ -264,8 +279,7 @@ def cmd_dump_attention(args) -> int:
     pipe = Pipeline(cfg)
     if has_checkpoint:
         pipe.load(cfg.checkpoint_dir)
-    doc, aux = load_layout(args.layout)
-    image = load_image(args.image)
+    doc, aux, image = _load_inputs(args, cfg)
     try:
         bundle = pipe.condition(image, doc["boxes"], aux, prompt=args.prompt)
     except VocabError as e:

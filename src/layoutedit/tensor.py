@@ -171,8 +171,6 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
         return mul(self, 1.0 / other)
 
     def __neg__(self):
@@ -268,27 +266,6 @@ def mul(a, b) -> Tensor:
     return _node(out, (a, b), bw, "mul")
 
 
-def power(a, p: float) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = a.data ** p
-    return _node(out, (a,), lambda g: (g * p * a.data ** (p - 1.0),), "power")
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
-    return _node(out, (a,), lambda g: (g * out,), "exp")
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-    return _node(out, (a,), lambda g: (g / a.data,), "log")
-
-
 def silu(a) -> Tensor:
     """x * sigmoid(x); smooth, so finite-difference checks stay tight."""
     a = as_tensor(a)
@@ -331,43 +308,6 @@ def matmul(a, b) -> Tensor:
         return ga, gb
 
     return _node(out, (a, b), bw, "matmul")
-
-
-def softmax(x, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax along `axis`; rows sum to 1."""
-    x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - dot) * out,)
-
-    return _node(out, (x,), bw, "softmax")
-
-
-def masked_softmax(x, mask: np.ndarray, axis: int = -1) -> Tensor:
-    """Softmax with boolean mask: False positions get exactly zero weight.
-
-    Implemented additively (-inf logits). At least one position per row
-    must be unmasked.
-    """
-    x = as_tensor(x)
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-    if not mask.any(axis=axis).all():
-        raise ShapeError("masked_softmax: a row has no unmasked position")
-    neg = np.where(mask, 0.0, -np.inf).astype(x.dtype)
-    shifted = x.data + neg
-    shifted = shifted - shifted.max(axis=axis, keepdims=True)
-    e = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - dot) * out,)
-
-    return _node(out, (x,), bw, "masked_softmax")
 
 
 def layer_norm(x, gain, bias) -> Tensor:

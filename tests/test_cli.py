@@ -7,7 +7,7 @@ import pytest
 
 from layoutedit.cli import main
 from layoutedit.config import RunConfig
-from layoutedit.data import caption_for
+from layoutedit.data import caption_for, write_ppm
 from layoutedit.diffusion import BLOCK_NAMES
 from layoutedit.layout import load_layout_json
 from layoutedit.pipeline import Pipeline, load_image
@@ -222,6 +222,24 @@ class TestTrainAndEdit:
         assert rc == 1
         err = capsys.readouterr().err
         assert name in err and field in err
+
+    @pytest.mark.parametrize("command", ["edit", "dump-attn"])
+    @pytest.mark.parametrize("name,image", [("big.ppm", np.zeros((3, 64, 64))),
+                                            ("gray.qlt", np.zeros((16, 16)))])
+    def test_image_of_the_wrong_shape_names_the_flag(self, trained, tmp_path,
+                                                     capsys, command, name,
+                                                     image):
+        root, cfg = trained
+        path = tmp_path / name
+        (write_ppm if name.endswith(".ppm") else save_qlt)(path, image)
+        argv = [command, "--config", cfg, "--image", str(path),
+                "--layout", str(root / "data" / "scene_000.json"),
+                "--out", str(tmp_path / "x")]
+        assert main(argv + (["--site", "down4"] if command == "dump-attn"
+                            else [])) == 1
+        assert (f"--image {path}: shape {image.shape} does not match the "
+                f"expected (3, 16, 16)") in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("doc,field", [
         ([], "object"),
@@ -494,6 +512,20 @@ class TestEval:
         rep = json.loads(out.read_text())
         assert rep["OA"] == 0.0 and rep["AP"] == 0.0
         assert rep["per_image"][0]["fn"] == 1
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_pred_dir_that_is_not_a_directory_names_it(self, tmp_path, capsys,
+                                                       kind):
+        self.write_gt(tmp_path / "gt", "a", [(0.1, 0.1, 0.4, 0.4)])
+        pred = tmp_path / "pred"
+        if kind == "file":
+            pred.write_text("{}")
+        out = tmp_path / "report.json"
+        rc = main(["eval", "--pred-dir", str(pred),
+                   "--gt-dir", str(tmp_path / "gt"), "--out", str(out)])
+        assert rc == 1
+        assert f"--pred-dir: {pred} is not" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stray_prediction_rejected(self, tmp_path, capsys):
         self.write_gt(tmp_path / "gt", "a", [(0.1, 0.1, 0.4, 0.4)])

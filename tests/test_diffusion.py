@@ -1,4 +1,5 @@
 import gc
+import sys
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ from layoutedit.diffusion import (BLOCK_NAMES, DenoiserState, NoiseSchedule,
                                   latent_to_image, sample, timestep_embedding,
                                   training_step)
 from layoutedit.rng import Rng
-from layoutedit.tensor import NumericsError, Tensor, params_of
+from layoutedit.tensor import NumericsError, Tensor, mha, params_of
 
 
 def small_config(**kw):
@@ -304,15 +305,16 @@ def adapter_state(position, lam, dtype, ip_scale=0.7):
 
 
 def count_mha_calls(monkeypatch, fn):
-    """Calls of `mha` through every module that binds it, while fn() runs."""
-    import layoutedit.adapter
-    import layoutedit.attention
+    """Calls of `mha` through every layoutedit module that binds it, while
+    fn() runs."""
     calls = []
-    for mod in (layoutedit.adapter, layoutedit.attention):
-        def counted(*args, _mha=mod.mha, **kwargs):
-            calls.append(1)
-            return _mha(*args, **kwargs)
-        monkeypatch.setattr(mod, "mha", counted)
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("layoutedit.")
+                and getattr(mod, "mha", None) is mha):
+            def counted(*args, _mha=mod.mha, **kwargs):
+                calls.append(1)
+                return _mha(*args, **kwargs)
+            monkeypatch.setattr(mod, "mha", counted)
     fn()
     monkeypatch.undo()
     return len(calls)
