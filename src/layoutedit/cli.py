@@ -187,6 +187,8 @@ def cmd_eval(args) -> int:
     pred_dir, gt_dir = Path(args.pred_dir), Path(args.gt_dir)
     if not pred_dir.is_dir():
         raise ConfigError(f"--pred-dir: {pred_dir} is not an existing directory")
+    if not gt_dir.is_dir():
+        raise ConfigError(f"--gt-dir: {gt_dir} is not an existing directory")
     gt_docs = {g: read_json_object(g, LayoutError, "ground truth")
                for g in sorted(gt_dir.glob("*.json"))}
     # a file with no key of either schema, such as a dataset's index.json,

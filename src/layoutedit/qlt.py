@@ -8,6 +8,7 @@ manifest.json mapping {name -> {file, shape}}.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import numpy as np
 from .config import read_json_object
 
 MAGIC = b"QLT1"
+MAX_RANK = 32       # numpy builds arrays of up to 32 dimensions on every version
 
 
 class QltError(ValueError):
@@ -40,15 +42,20 @@ def load_qlt(path) -> np.ndarray:
     if len(blob) < 8:
         raise QltError(f"{path}: file of {len(blob)} bytes is shorter than its header")
     (rank,) = struct.unpack_from("<I", blob, 4)
+    if rank > MAX_RANK:
+        raise QltError(f"{path}: rank {rank} is above the maximum {MAX_RANK}")
     if len(blob) < 8 + 4 * rank:
         raise QltError(f"{path}: header of rank {rank} is longer than the "
                        f"{len(blob)}-byte file")
     shape = struct.unpack_from(f"<{rank}I", blob, 8)
     payload = blob[8 + 4 * rank:]
-    n = int(np.prod(shape)) if rank else 1
+    n = math.prod(shape)    # exact, where an int64 product would wrap
     if len(payload) != 4 * n:
         raise QltError(f"{path}: payload is {len(payload)} bytes, "
                        f"expected {4 * n} for shape {shape}")
+    # numpy refuses a shape whose nonzero extents overflow, even with a 0
+    if 4 * math.prod(e for e in shape if e) > np.iinfo(np.intp).max:
+        raise QltError(f"{path}: shape {shape} is too large for an array")
     return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
 
 

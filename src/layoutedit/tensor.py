@@ -12,10 +12,15 @@ again with every op's check on. Runs are deterministic, so the replay
 raises the error naming the op that first produced the value, as it
 would without the boundary. A boundary reached inside another runs as
 a plain call. `mha` checks its logits inside a boundary too.
+
+A large `mha` call runs half its heads on one worker thread, when the
+process may use two CPUs (`_over_heads`); its results are bit-identical.
 """
 from __future__ import annotations
 
 import functools
+import os
+import threading
 
 import numpy as np
 
@@ -363,7 +368,130 @@ def linear(x, w, b=None) -> Tensor:
 
 
 # ----------------------------------------------------------------------
+# head groups on two threads
+# heads * n_q * n_k from which an mha call splits; below it the hand-over
+# to the worker costs about what the second CPU saves
+SPLIT_MIN = 1 << 16
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+class _HeadWorker:
+    """A daemon thread that runs one head group of an `mha` call while
+    the calling thread runs the other. numpy releases the GIL inside
+    matmul and ufunc loops, so the two groups run at the same time."""
+
+    def __init__(self):
+        self.busy = threading.Lock()    # held by the thread using the worker
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._job = self._error = None
+        threading.Thread(target=self._loop, name="mha-heads", daemon=True).start()
+
+    def _loop(self):
+        while True:
+            self._go.acquire()
+            try:    # in a frame of its own, so the loop keeps no arrays
+                _call_under(*self._job)
+            except BaseException as e:      # re-raised on the calling thread
+                self._error = e
+            self._job = None
+            self._done.release()
+
+    def start(self, fn, heads, args):
+        self._job = (np.geterr(), fn, heads, args)
+        self._go.release()
+
+    def wait(self):
+        """Block until the group finishes; return its exception, if any."""
+        self._done.acquire()
+        error, self._error = self._error, None
+        return error
+
+
+def _call_under(err, fn, heads, args):
+    with np.errstate(**err):
+        fn(heads, *args)
+
+
+_worker = None      # started by the first call large enough to split
+
+
+def _forget_worker():
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):     # a forked child has no worker thread
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _over_heads(fn, heads: int, size: int, *args):
+    """Run fn(head_slice, *args) over every head: once over all of them,
+    or, when the call has at least two heads, `size` reaches SPLIT_MIN
+    and the process may use two CPUs, as two groups, the first on the
+    calling thread and the second on the worker. Each head's result is
+    the same either way. The caller always waits for the worker."""
+    global _worker
+    if heads < 2 or size < SPLIT_MIN or _cpu_count() < 2:
+        fn(slice(None), *args)
+        return
+    if _worker is None:
+        _worker = _HeadWorker()
+    worker = _worker
+    if not worker.busy.acquire(blocking=False):     # another thread has it
+        fn(slice(None), *args)
+        return
+    cut = heads // 2
+    worker.start(fn, slice(cut, None), args)
+    try:
+        fn(slice(0, cut), *args)
+    finally:
+        # A signal that interrupts the wait skips the release: the worker
+        # may still be writing this call's buffers, so later calls run whole.
+        error = worker.wait()
+        worker.busy.release()
+    if error is not None:
+        raise error
+
+
+# ----------------------------------------------------------------------
 # multi-head attention kernel
+def _attend_heads(hs, qh, kt, vh, scale, bias, scan, attn, out):
+    """Forward of heads `hs`: logits into attn[hs], then softmax in
+    place, then the weighted values into out[hs]."""
+    a = np.matmul(qh[hs], kt[hs], out=attn[hs])
+    # Checked even inside a boundary: softmax turns a lone -inf logit
+    # into a finite zero weight.
+    if scan:
+        _check(a, "mha")
+    a *= scale
+    if bias is not None:
+        a += bias
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    np.matmul(a, vh[hs], out=out[hs])
+
+
+def _attend_heads_backward(hs, gh, qh, kh, vh, attn, scale, dq, dk, dv):
+    """Backward of heads `hs` into dq[hs], dk[hs] and dv[hs]."""
+    a, g = attn[hs], gh[hs]
+    da = g @ np.swapaxes(vh[hs], -1, -2)
+    np.matmul(np.swapaxes(a, -1, -2), g, out=dv[hs])
+    dl = (da - (da * a).sum(axis=-1, keepdims=True)) * a
+    dl *= scale
+    np.matmul(dl, kh[hs], out=dq[hs])
+    np.matmul(np.swapaxes(qh[hs], -1, -2), dl, out=dk[hs])
+
+
 def mha(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
         weights_out: dict | None = None) -> Tensor:
     """Multi-head scaled dot-product attention as one tape node.
@@ -377,7 +505,9 @@ def mha(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
     reshape, transpose, matmul, scale, softmax and matmul nodes in the
     same order on the same strided head views, so outputs and gradients
     are bit-equal to that chain. The heads stay views: contiguous copies
-    change float32 results when n_q or n_k is 1.
+    change float32 results when n_q or n_k is 1. Every reduction stays
+    within one head's rows, so a large call splits its heads across two
+    threads (`_over_heads`) without changing a bit.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
@@ -390,21 +520,7 @@ def mha(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
         if d % heads != 0:
             raise ShapeError(f"channel extent {d} not divisible by {heads} heads")
     n_q, n_k = q.shape[0], k.shape[0]
-    # [n, d] -> [heads, n, d/heads]
-    qh, kh, vh = (x.data.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
-                  for x in (q, k, v))
-    kt = kh.transpose(0, 2, 1)
-    scale = 1.0 / float(np.sqrt(q.shape[-1] // heads))
-    # the logits buffer becomes the attention weights in place
-    attn = qh @ kt
-    # Checked even inside a boundary: softmax turns a lone -inf logit into
-    # a finite zero weight. Each logit is at most d_head * max|q| * max|k|
-    # in magnitude; below half the dtype's max none can overflow, so the
-    # scan is skipped (a NaN or inf in q or k fails the comparison).
-    q_max, k_max = (float(np.abs(x.data).max(initial=0.0)) for x in (q, k))
-    if not qh.shape[-1] * q_max * k_max < float(np.finfo(attn.dtype).max) / 2:
-        _check(attn, "mha")
-    attn *= scale
+    bias = None
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (n_k,):
@@ -412,27 +528,41 @@ def mha(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
                              f"key count {n_k}")
         if not mask.any():
             raise ShapeError("mha: every key is masked")
-        attn += np.where(mask, 0.0, -np.inf)    # in place: keeps float32 logits float32
-    attn -= attn.max(axis=-1, keepdims=True)
-    np.exp(attn, out=attn)
-    attn /= attn.sum(axis=-1, keepdims=True)
+        bias = np.where(mask, 0.0, -np.inf)    # added in place: float32 stays float32
+    # [n, d] -> [heads, n, d/heads]
+    qh, kh, vh = (x.data.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
+                  for x in (q, k, v))
+    kt = kh.transpose(0, 2, 1)
+    scale = 1.0 / float(np.sqrt(q.shape[-1] // heads))
+    # the logits buffer becomes the attention weights in place
+    attn = np.empty((heads, n_q, n_k), np.result_type(qh, kt))
+    # Each logit is at most d_head * max|q| * max|k| in magnitude; below
+    # half the dtype's max none can overflow, so the logits scan is
+    # skipped (a NaN or inf in q or k fails the comparison).
+    q_max, k_max = (float(np.abs(x.data).max(initial=0.0)) for x in (q, k))
+    scan = not qh.shape[-1] * q_max * k_max < float(np.finfo(attn.dtype).max) / 2
+    # heads are written straight into the [n_q, heads, d_v/heads] layout
+    out = np.empty((n_q, heads, vh.shape[-1]), np.result_type(attn, vh))
+    size = heads * n_q * n_k
+    _over_heads(_attend_heads, heads, size, qh, kt, vh, scale, bias, scan,
+                attn, out.transpose(1, 0, 2))
     if weights_out is not None:
         weights_out["weights"] = attn.copy()
-    out = (attn @ vh).transpose(1, 0, 2).reshape(n_q, -1)
 
     def bw(g):
         gh = g.reshape(n_q, heads, -1).transpose(1, 0, 2)
-        da = gh @ np.swapaxes(vh, -1, -2)
-        dv = np.swapaxes(attn, -1, -2) @ gh
-        dl = (da - (da * attn).sum(axis=-1, keepdims=True)) * attn
-        dl *= scale
-        dq = dl @ kh
-        dk = np.swapaxes(qh, -1, -2) @ dl
-        return (dq.transpose(1, 0, 2).reshape(q.shape),
-                dk.transpose(2, 0, 1).reshape(k.shape),
-                dv.transpose(1, 0, 2).reshape(v.shape))
+        dl_type = np.result_type(g, vh, attn)
+        dq = np.empty((n_q, heads, qh.shape[-1]), np.result_type(dl_type, kh))
+        # dk stays [heads, d_head, n_k]: in k's layout each head would be
+        # column-major, and numpy would compute it as the transposed product
+        dk = np.empty((heads, kh.shape[-1], n_k), np.result_type(qh, dl_type))
+        dv = np.empty((n_k, heads, vh.shape[-1]), np.result_type(attn, g))
+        _over_heads(_attend_heads_backward, heads, size, gh, qh, kh, vh, attn,
+                    scale, dq.transpose(1, 0, 2), dk, dv.transpose(1, 0, 2))
+        return (dq.reshape(q.shape), dk.transpose(2, 0, 1).reshape(k.shape),
+                dv.reshape(v.shape))
 
-    return _node(out, (q, k, v), bw, "mha")
+    return _node(out.reshape(n_q, -1), (q, k, v), bw, "mha")
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from layoutedit import tensor
 from layoutedit.cli import main
 from layoutedit.config import RunConfig
 from layoutedit.data import caption_for, write_ppm
@@ -330,6 +331,28 @@ class TestTrainAndEdit:
         np.testing.assert_array_equal(load_qlt(out_base.with_suffix(".qlt")),
                                       want.astype(np.float32))
 
+    def test_one_cpu_and_two_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # default sizes: the 256-token self attentions split their heads
+        data = str(tmp_path / "data")
+        assert main(["synth", "--data-dir", data, "--counts", "1-3"]) == 0
+        scene = tmp_path / "data" / "scene_001"
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(tensor, "_worker", None)
+            monkeypatch.setattr(tensor, "_cpu_count", lambda cpus=cpus: cpus)
+            run = tmp_path / "run"      # the manifest records the paths
+            shutil.rmtree(run, ignore_errors=True)
+            assert main(["train", "--data-dir", data, "--train-steps", "3",
+                         "--checkpoint-dir", str(run / "ckpt")]) == 0
+            assert main(["edit", "--checkpoint-dir", str(run / "ckpt"),
+                         "--steps", "3", "--image", str(scene.with_suffix(".ppm")),
+                         "--layout", str(scene.with_suffix(".json")),
+                         "--prompt", "two circles", "--out", str(run / "out")]) == 0
+            assert (tensor._worker is not None) == (cpus == 2)
+            outputs.append({p.relative_to(run): p.read_bytes()
+                            for p in sorted(run.rglob("*")) if p.is_file()})
+        assert len(outputs[0]) > 3 and outputs[0] == outputs[1]
+
     def test_edit_ignores_adapter_arrays_at_other_sites(self, trained, tmp_path):
         # A checkpoint written when every block carried an adapter branch
         # has 24 more arrays; they are not read, and the edit is the same.
@@ -525,6 +548,20 @@ class TestEval:
                    "--gt-dir", str(tmp_path / "gt"), "--out", str(out)])
         assert rc == 1
         assert f"--pred-dir: {pred} is not" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_gt_dir_that_is_not_a_directory_names_it(self, tmp_path, capsys,
+                                                     kind):
+        (tmp_path / "pred").mkdir()
+        gt = tmp_path / "gt"
+        if kind == "file":
+            gt.write_text("{}")
+        out = tmp_path / "report.json"
+        rc = main(["eval", "--pred-dir", str(tmp_path / "pred"),
+                   "--gt-dir", str(gt), "--out", str(out)])
+        assert rc == 1
+        assert f"--gt-dir: {gt} is not" in capsys.readouterr().err
         assert not out.exists()
 
     def test_stray_prediction_rejected(self, tmp_path, capsys):

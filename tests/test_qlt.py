@@ -1,10 +1,14 @@
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from layoutedit import qlt
-from layoutedit.qlt import (MAGIC, QltError, load_checkpoint, load_qlt,
+from layoutedit.qlt import (MAGIC, MAX_RANK, QltError, load_checkpoint, load_qlt,
                             read_manifest, save_checkpoint, save_qlt)
 from layoutedit.rng import Rng
 
@@ -46,6 +50,55 @@ def test_truncated_payload(tmp_path):
     (tmp_path / "a.qlt").write_bytes(blob[:-4])
     with pytest.raises(QltError, match="payload"):
         load_qlt(tmp_path / "a.qlt")
+
+
+def _header(*extents):
+    return MAGIC + struct.pack(f"<I{len(extents)}I", len(extents), *extents)
+
+
+@pytest.mark.parametrize("extents,payload", [
+    ((65536,) * 4, 0),          # the int64 product wraps to 0
+    ((2**32 - 1,) * 3, 0),
+    ((2**32 - 1,) * 4, 16),
+])
+def test_extents_whose_product_overflows_int64(tmp_path, extents, payload):
+    path = tmp_path / "big.qlt"
+    path.write_bytes(_header(*extents) + bytes(payload))
+    with pytest.raises(QltError, match=f"big.qlt: payload is {payload} bytes, "
+                                       f"expected {4 * math.prod(extents)} for"):
+        load_qlt(path)
+
+
+def test_rank_above_the_maximum_names_file(tmp_path):
+    path = tmp_path / "deep.qlt"
+    path.write_bytes(_header(*[1] * (MAX_RANK + 1)) + bytes(4))
+    with pytest.raises(QltError, match=f"deep.qlt: rank {MAX_RANK + 1}"):
+        load_qlt(path)
+
+
+EXTENTS = st.one_of(st.integers(0, 4), st.sampled_from([65536, 2**31, 2**32 - 1]))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rank=st.integers(0, MAX_RANK + 2), data=st.data())
+def test_any_header_loads_or_names_the_file(tmp_path, rank, data):
+    """Every header either loads with its extents or raises QltError
+    naming the file: never another exception."""
+    extents = data.draw(st.lists(EXTENTS, min_size=rank, max_size=rank))
+    n = math.prod(extents)
+    sizes = [0, 1, 4, 24] + ([4 * n] if n < 4096 else [])
+    payload = data.draw(st.sampled_from(sizes))
+    blob = _header(*extents) + bytes(payload)
+    blob = blob[:data.draw(st.sampled_from([len(blob), 6, 8 + 4 * rank - 1]))]
+    path = tmp_path / "any.qlt"
+    path.write_bytes(blob)
+    try:
+        arr = load_qlt(path)
+    except QltError as e:
+        assert str(path) in str(e)
+    else:
+        assert arr.shape == tuple(extents) and arr.dtype == np.float32
 
 
 def test_checkpoint_roundtrip(tmp_path):

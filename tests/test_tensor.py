@@ -1,3 +1,7 @@
+import os
+import signal
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import assert_grad_matches, fd_grad, rel_err
 from layoutedit import tensor as T
+from layoutedit.config import RunConfig
+from layoutedit.pipeline import Pipeline
 from layoutedit.rng import Rng
 from layoutedit.tensor import (NumericsError, Param, ShapeError, Tensor, add,
                                adamw_step, checked_once, concat, layer_norm,
@@ -246,6 +252,125 @@ class TestMhaNonFinite:
         k = Tensor(np.array([[0.0, 1e20]], dtype=np.float32))
         out = mha(q, k, Tensor(np.ones((1, 2), dtype=np.float32)), heads=1)
         np.testing.assert_array_equal(out.data, [[1.0, 1.0]])
+
+
+def _split_case(dtype, d):
+    """q, k, v and an output weighting for a 256-token self attention."""
+    rng = np.random.default_rng(0)
+    return [rng.normal(size=(256, d)).astype(dtype) for _ in range(4)]
+
+
+def _run_mha(arrays, heads, mask=None):
+    q, k, v = (Tensor(a, requires_grad=True) for a in arrays[:3])
+    cap = {}
+    out = mha(q, k, v, heads, mask=mask, weights_out=cap)
+    (out * Tensor(arrays[3])).sum().backward()
+    return out.data, cap["weights"], q.grad, k.grad, v.grad
+
+
+class _NoWorker:
+    def __init__(self):
+        raise AssertionError("the head worker was started")
+
+
+class TestMhaHeadSplit:
+    """A call of at least SPLIT_MIN logits splits its heads between the
+    calling thread and the worker when two CPUs are usable; every bit of
+    its results is the same as on one CPU."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_worker(self, monkeypatch):
+        monkeypatch.setattr(T, "_worker", None)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("heads,d", [(8, 64), (3, 48)])
+    def test_two_cpus_bit_equal_to_one(self, monkeypatch, dtype, masked, heads, d):
+        assert heads * 256 * 256 >= T.SPLIT_MIN
+        arrays = _split_case(dtype, d)
+        mask = np.random.default_rng(1).uniform(size=256) < 0.6 if masked else None
+        results = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(T, "_cpu_count", lambda cpus=cpus: cpus)
+            results.append(_run_mha(arrays, heads, mask))
+            assert (T._worker is not None) == (cpus == 2)
+        for split, whole in zip(*results):
+            assert_bit_equal(split, whole)
+
+    def test_nan_in_the_workers_heads_names_mha_and_the_next_call_works(
+            self, monkeypatch):
+        monkeypatch.setattr(T, "_cpu_count", lambda: 2)
+        q, k, v, _ = _split_case(np.float32, 64)
+        expected = mha(Tensor(q), Tensor(k), Tensor(v), 8).data
+        bad = q.copy()
+        bad[3, -1] = np.nan     # the last head, so the worker's group
+        # NaN in q fails the logit bound, so every group scans its logits
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericsError, match="produced by mha$") as info:
+            mha(Tensor(bad), Tensor(k), Tensor(v), 8)
+        assert "_call_under" in {tb.name for tb in info.traceback}
+        assert_bit_equal(mha(Tensor(q), Tensor(k), Tensor(v), 8).data, expected)
+
+    def test_worker_runs_under_the_callers_error_state(self, monkeypatch):
+        monkeypatch.setattr(T, "_cpu_count", lambda: 2)
+        q, k, v, _ = _split_case(np.float32, 64)
+        q[:, -8:] = k[:, -8:] = 1e20    # logits overflow in the last head only
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
+            mha(Tensor(q), Tensor(k), Tensor(v), 8)
+        assert "_call_under" in {tb.name for tb in info.traceback}
+
+    def test_condition_sized_calls_stay_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(T, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(T, "_HeadWorker", _NoWorker)
+        pipe = Pipeline(RunConfig())
+        size = pipe.config.image_size
+        image = np.random.default_rng(0).uniform(size=(3, size, size))
+        pipe.condition(image, [(0.1, 0.1, 0.4, 0.5), (0.5, 0.6, 0.9, 0.9)],
+                       "two squares", prompt="three circles")
+        arrays = _split_case(np.float32, 64)
+        _run_mha(arrays, 1)     # one head never splits
+        assert T._worker is None
+
+    def test_concurrent_callers_share_one_worker(self, monkeypatch):
+        # more calling threads than CPUs: the one that holds the worker
+        # splits, the others run whole; every result stays exact
+        monkeypatch.setattr(T, "_cpu_count", lambda: 2)
+        q, k, v, _ = _split_case(np.float32, 64)
+        expected = mha(Tensor(q), Tensor(k), Tensor(v), 8).data.tobytes()
+        results = []
+
+        def caller():
+            for _ in range(5):
+                results.append(mha(Tensor(q), Tensor(k), Tensor(v), 8).data.tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 20
+
+    def test_forked_child_starts_its_own_worker(self, monkeypatch):
+        monkeypatch.setattr(T, "_cpu_count", lambda: 2)
+        q, k, v, _ = _split_case(np.float32, 64)
+        expected = mha(Tensor(q), Tensor(k), Tensor(v), 8).data.tobytes()
+        assert T._worker is not None
+        pid = os.fork()
+        if pid == 0:    # child: exit 0 only if the large call finishes right
+            try:
+                signal.alarm(30)
+                ok = mha(Tensor(q), Tensor(k), Tensor(v), 8).data.tobytes() == expected
+                os._exit(0 if ok else 1)
+            finally:
+                os._exit(2)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestBackward:
