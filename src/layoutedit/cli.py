@@ -118,11 +118,15 @@ def _parse_counts(spec: str) -> list:
 
 
 def _load_inputs(args, cfg: RunConfig):
-    """The --layout document, its auxiliary caption and the --image array,
-    which must be (3, image_size, image_size)."""
+    """The --layout document, which may hold at most max_n boxes, its
+    auxiliary caption and the --image array, which must be
+    (3, image_size, image_size)."""
     from .pipeline import load_image, load_layout
 
     doc, aux = load_layout(args.layout)
+    if len(doc["boxes"]) > cfg.max_n:
+        raise LayoutError(f"{args.layout}: 'boxes' holds {len(doc['boxes'])} "
+                          f"boxes, above the model's max_n of {cfg.max_n}")
     image = load_image(args.image)
     expected = (3, cfg.image_size, cfg.image_size)
     if image.shape != expected:

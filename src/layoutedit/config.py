@@ -30,7 +30,7 @@ def read_json_object(path, error: type, what: str) -> dict:
     try:
         with open(path) as f:
             doc = json.load(f)
-    except ValueError as e:     # JSON and text decoding errors
+    except (ValueError, RecursionError) as e:   # decoding errors, deep nesting
         raise error(f"{path}: invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise error(f"{path}: {what} must be a JSON object, got {doc!r:.40}")

@@ -98,6 +98,9 @@ def read_ppm(path) -> np.ndarray:
     header = _PPM_HEADER.match(blob)
     if header is None:
         raise DatasetError(f"{path}: not a binary PPM")
+    for field, digits in zip(("width", "height", "maxval"), header.groups()):
+        if len(digits) > 9:     # and int() refuses more than 4300
+            raise DatasetError(f"{path}: {field} has {len(digits)} digits")
     w, h, maxval = (int(g) for g in header.groups())
     if maxval != 255:
         raise DatasetError(f"{path}: maxval is {maxval}, only 255 is supported")

@@ -15,10 +15,21 @@ a plain call. `mha` checks its logits inside a boundary too.
 
 A large `mha` call runs half its heads on one worker thread, when the
 process may use two CPUs (`_over_heads`); its results are bit-identical.
+
+`mha` flushes: after the row max is subtracted, a logit below
+`log(tiny) + log(n_k) + 1` (tiny: the dtype's smallest normal number,
+n_k: the key count) gets weight exactly 0. Every weight it keeps is then
+at least e * tiny, so no weight is subnormal, and no op pays the CPU's
+slow path for subnormal operands. The rule is per element, so a result
+never depends on which path computed it. Two gates only save time: a
+call whose logit bound rules out such a logit skips the flush, and so
+does a head group whose shifted logits are all above the floor; both
+then run the plain softmax ops.
 """
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
 
@@ -464,19 +475,48 @@ def _over_heads(fn, heads: int, size: int, *args):
 
 # ----------------------------------------------------------------------
 # multi-head attention kernel
-def _attend_heads(hs, qh, kt, vh, scale, bias, scan, attn, out):
+# A flushed head group that keeps at most 1/SPARSE_KEEP of its weights
+# takes exp only where a weight is kept. A late DDIM step keeps about one
+# weight a row; there `exp(where=)` and a clamp at 0 cost half what the
+# clamp at the floor, exp and mask multiply do. At 2% kept they cost the
+# same, and `exp(where=)` slows as the kept weights scatter.
+SPARSE_KEEP = 128
+
+
+def _exp_flushed(a, floor):
+    """exp of the shifted logits `a` in place, exactly 0 where a logit is
+    below `floor`; no op on the way reads or writes a subnormal."""
+    keep = a >= floor
+    if np.count_nonzero(keep) * SPARSE_KEEP <= keep.size:
+        np.exp(a, out=a, where=keep)
+        np.maximum(a, 0.0, out=a)   # the logits left below the floor become +0
+    else:
+        np.maximum(a, floor, out=a)
+        np.exp(a, out=a)
+        a *= keep
+
+
+def _attend_heads(hs, qh, kt, vh, scale, mask, scan, floor, attn, out):
     """Forward of heads `hs`: logits into attn[hs], then softmax in
-    place, then the weighted values into out[hs]."""
+    place, then the weighted values into out[hs]. Unless `floor` is None,
+    a shifted logit below it gets weight exactly 0 (see `mha`)."""
     a = np.matmul(qh[hs], kt[hs], out=attn[hs])
     # Checked even inside a boundary: softmax turns a lone -inf logit
     # into a finite zero weight.
     if scan:
         _check(a, "mha")
     a *= scale
-    if bias is not None:
-        a += bias
-    a -= a.max(axis=-1, keepdims=True)
-    np.exp(a, out=a)
+    if mask is not None:
+        # The smallest logit before the masked keys become -inf, less the
+        # largest row max, bounds every shifted logit at an unmasked key.
+        low = a.min() if floor is not None else None
+        a += np.where(mask, 0.0, -np.inf)  # added in place: float32 stays float32
+    top = a.max(axis=-1, keepdims=True)
+    a -= top
+    if floor is not None and (a.min() if mask is None else low - top.max()) < floor:
+        _exp_flushed(a, floor)
+    else:
+        np.exp(a, out=a)
     a /= a.sum(axis=-1, keepdims=True)
     np.matmul(a, vh[hs], out=out[hs])
 
@@ -508,6 +548,18 @@ def mha(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
     change float32 results when n_q or n_k is 1. Every reduction stays
     within one head's rows, so a large call splits its heads across two
     threads (`_over_heads`) without changing a bit.
+
+    One step differs from that chain: a logit that is below
+    `floor = log(tiny) + log(n_k) + 1` after the row max is subtracted
+    gets weight exactly 0, where softmax could give a subnormal one
+    (tiny is the dtype's smallest normal number). So the result is
+    bit-equal to the chain with each such logit set to -inf. The flush
+    is skipped when `2 * scale * d_head * max|q| * max|k|`, the widest
+    possible row spread, is below -floor with a margin for rounding, and
+    in a head group whose smallest shifted logit is not below the floor
+    (with a mask: the group's smallest logit less its largest row max,
+    which bounds the logits at unmasked keys); neither gate changes a
+    result.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
@@ -520,7 +572,6 @@ def mha(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
         if d % heads != 0:
             raise ShapeError(f"channel extent {d} not divisible by {heads} heads")
     n_q, n_k = q.shape[0], k.shape[0]
-    bias = None
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (n_k,):
@@ -528,7 +579,6 @@ def mha(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
                              f"key count {n_k}")
         if not mask.any():
             raise ShapeError("mha: every key is masked")
-        bias = np.where(mask, 0.0, -np.inf)    # added in place: float32 stays float32
     # [n, d] -> [heads, n, d/heads]
     qh, kh, vh = (x.data.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
                   for x in (q, k, v))
@@ -536,16 +586,25 @@ def mha(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
     scale = 1.0 / float(np.sqrt(q.shape[-1] // heads))
     # the logits buffer becomes the attention weights in place
     attn = np.empty((heads, n_q, n_k), np.result_type(qh, kt))
+    info = np.finfo(attn.dtype)
     # Each logit is at most d_head * max|q| * max|k| in magnitude; below
     # half the dtype's max none can overflow, so the logits scan is
     # skipped (a NaN or inf in q or k fails the comparison).
+    d_head = qh.shape[-1]
     q_max, k_max = (float(np.abs(x.data).max(initial=0.0)) for x in (q, k))
-    scan = not qh.shape[-1] * q_max * k_max < float(np.finfo(attn.dtype).max) / 2
+    bound = d_head * q_max * k_max
+    scan = not bound < float(info.max) / 2
+    # No shifted logit is below -2 * scale * bound, give or take the
+    # rounding of a d_head-term dot product, the scale and the max
+    # subtraction; when that is above the floor, nothing is flushed.
+    floor = math.log(info.tiny) + math.log(n_k) + 1.0
+    spread = 2.0 * scale * bound * (1.0 + (d_head + 4) * float(info.eps))
+    floor = None if spread < -floor else attn.dtype.type(floor)
     # heads are written straight into the [n_q, heads, d_v/heads] layout
     out = np.empty((n_q, heads, vh.shape[-1]), np.result_type(attn, vh))
     size = heads * n_q * n_k
-    _over_heads(_attend_heads, heads, size, qh, kt, vh, scale, bias, scan,
-                attn, out.transpose(1, 0, 2))
+    _over_heads(_attend_heads, heads, size, qh, kt, vh, scale, mask, scan,
+                floor, attn, out.transpose(1, 0, 2))
     if weights_out is not None:
         weights_out["weights"] = attn.copy()
 

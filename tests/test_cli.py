@@ -4,7 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import ppm_blobs
 from layoutedit import tensor
 from layoutedit.cli import main
 from layoutedit.config import RunConfig
@@ -256,6 +259,9 @@ class TestTrainAndEdit:
          "'count' must be an integer, got True"),
         ({"boxes": [[0.1, 0.1, 0.5, 0.5]], "count": 1, "category": 5},
          "category 5"),
+        ({"boxes": [[0.1 * i, 0.1, 0.1 * i + 0.05, 0.2] for i in range(9)],
+          "count": 9, "category": "circle"},
+         "'boxes' holds 9 boxes, above the model's max_n of 8"),
     ])
     def test_edit_bad_layout_names_file(self, trained, tmp_path, capsys,
                                         doc, field):
@@ -727,3 +733,76 @@ class TestDumpAttention:
                    "--site", "down9", "--out", str(tmp_path / "attn")])
         assert rc == 1
         assert "down9" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# fuzzed edit inputs: exit 0 or 1, never a traceback
+FUZZ = settings(max_examples=40, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+_JSON_ANY = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20),
+              st.floats(), st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=5)
+_UNIT = st.floats(0, 1)
+_VALID_BOX = st.tuples(_UNIT, _UNIT, _UNIT, _UNIT).map(
+    lambda c: [min(c[0], c[2]), min(c[1], c[3]), max(c[0], c[2]), max(c[1], c[3])])
+_NUMBER = st.one_of(_UNIT, st.floats(), st.integers(-2, 2), st.booleans(),
+                    st.integers(10**15, 10**30))
+_BOX = st.one_of(_VALID_BOX, st.lists(_NUMBER, min_size=3, max_size=5), _JSON_ANY)
+
+
+@st.composite
+def layout_texts(draw):
+    """Layout JSON: boxes, count and category valid or not (bools, NaN,
+    nested lists, out-of-range numbers), a key dropped, the text cut, or
+    lists nested deeper than the parser recurses."""
+    boxes = draw(st.one_of(st.lists(_VALID_BOX, min_size=1, max_size=10),
+                           st.lists(_BOX, max_size=10), _JSON_ANY))
+    count = len(boxes) if isinstance(boxes, list) else 1
+    doc = {"boxes": boxes,
+           "count": draw(st.one_of(st.just(count), st.integers(-1, 12), _JSON_ANY)),
+           "category": draw(st.one_of(st.sampled_from(["circle", "square", "cat"]),
+                                      _JSON_ANY))}
+    for key in draw(st.sets(st.sampled_from(sorted(doc)), max_size=1)):
+        del doc[key]
+    text = json.dumps(doc)      # NaN and Infinity as Python's json writes them
+    depth = draw(st.integers(1, 5000))
+    return draw(st.sampled_from([
+        text, text, text[:len(text) // 2],
+        '{"boxes": ' + "[" * depth + "]" * depth + ', "count": 1, "category": "circle"}']))
+
+
+def _edit(cfg, image, layout, out):
+    return main(["edit", "--config", cfg, "--image", str(image), "--layout",
+                 str(layout), "--prompt", "two circles", "--out", str(out)])
+
+
+@FUZZ
+@given(blob=ppm_blobs())
+def test_edit_any_image_exits_0_or_1(trained, capsys, blob):
+    root, cfg = trained
+    path = root / "fuzz.ppm"
+    path.write_bytes(blob)
+    capsys.readouterr()
+    rc = _edit(cfg, path, root / "data" / "scene_000.json", root / "fuzz_out")
+    assert rc in (0, 1)
+    if rc == 1:
+        assert str(path) in capsys.readouterr().err
+
+
+@FUZZ
+@given(text=layout_texts())
+def test_edit_any_layout_exits_0_or_1_naming_the_file_and_field(trained, capsys, text):
+    root, cfg = trained
+    path = root / "fuzz.json"
+    path.write_text(text)
+    capsys.readouterr()
+    rc = _edit(cfg, root / "data" / "scene_000.ppm", path, root / "fuzz_out")
+    assert rc in (0, 1)
+    if rc == 1:
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert any(field in err for field in ("boxes", "count", "category", "JSON"))

@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from conftest import ppm_blobs
 from layoutedit.data import (BACKGROUND, DatasetError, caption_for,
                              generate_dataset, read_ppm, render_scene,
                              write_ppm)
@@ -101,6 +103,23 @@ class TestPpm:
         np.testing.assert_array_equal(read_ppm(tmp_path / "c.ppm"),
                                       read_ppm(tmp_path / "a.ppm"))
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=ppm_blobs())
+    def test_any_file_reads_or_names_it(self, tmp_path, blob):
+        """An image in [0, 1] of shape [3, h, w], or a DatasetError naming
+        the file: never another exception."""
+        path = tmp_path / "any.ppm"
+        path.write_bytes(blob)
+        try:
+            image = read_ppm(path)
+        except DatasetError as e:
+            assert str(path) in str(e)
+        else:
+            assert image.ndim == 3 and image.shape[0] == 3
+            assert image.dtype == np.float64
+            assert ((image >= 0) & (image <= 1)).all()
+
     @pytest.mark.parametrize("blob,field", [
         (b"P6\n# c\n2 2\n# c\n65535\n" + bytes(24), "maxval"),
         (b"P6\n# c\n2 2\n# c\n255\n" + bytes(11), "payload"),
@@ -108,6 +127,15 @@ class TestPpm:
     def test_commented_header_still_checked(self, tmp_path, blob, field):
         (tmp_path / "c.ppm").write_bytes(blob)
         with pytest.raises(DatasetError, match=f"c.ppm.*{field}"):
+            read_ppm(tmp_path / "c.ppm")
+
+    @pytest.mark.parametrize("header,field", [
+        (b"P6 16 16 " + b"0" * 5000 + b"255\n", "maxval has 5003 digits"),
+        (b"P6 1" + b"0" * 9 + b" 1 255\n", "width has 10 digits"),
+    ], ids=["maxval", "width"])
+    def test_overlong_header_number_names_the_field(self, tmp_path, header, field):
+        (tmp_path / "c.ppm").write_bytes(header + bytes(768))
+        with pytest.raises(DatasetError, match=f"c.ppm: {field}"):
             read_ppm(tmp_path / "c.ppm")
 
     def test_bad_magic(self, tmp_path):

@@ -130,3 +130,10 @@ def test_invalid_layout_json_names_file(tmp_path):
     path.write_text("{not json")
     with pytest.raises(LayoutError, match="bad.json: invalid JSON"):
         load_layout_json(path)
+
+
+def test_json_nested_deeper_than_the_parser_recurses_names_file(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"boxes": ' + "[" * 100000 + "]" * 100000 + "}")
+    with pytest.raises(LayoutError, match="bad.json: invalid JSON"):
+        load_layout_json(path)

@@ -1,3 +1,4 @@
+import math
 import os
 import signal
 import sys
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_grad_matches, fd_grad, rel_err
@@ -19,14 +20,17 @@ from layoutedit.tensor import (NumericsError, Param, ShapeError, Tensor, add,
                                matmul, mha, mul, params_of)
 
 
-def softmax(x, mask=True, axis=-1):
+def softmax(x, mask=True, axis=-1, floor=None):
     """Reference softmax as one tape node, max-subtracted. A boolean
     `mask` (broadcast to x) is applied additively, so False positions get
-    exactly zero weight; each row needs one True. The fused `mha` is
-    checked against it bit for bit."""
+    exactly zero weight; each row needs one True. With a `floor`, every
+    shifted logit below it is set to -inf. The fused `mha` is checked
+    against it bit for bit."""
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
     shifted = x.data + np.where(mask, 0.0, -np.inf).astype(x.dtype)
     shifted = shifted - shifted.max(axis=axis, keepdims=True)
+    if floor is not None:
+        shifted = np.where(shifted < floor, -np.inf, shifted).astype(x.dtype)
     e = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
     out = e / e.sum(axis=axis, keepdims=True)
 
@@ -172,15 +176,22 @@ class TestMha:
                 lambda: (mha(q, k, v, heads=2) * Tensor(r)).sum(), leaf)
 
 
-def reference_mha(q, k, v, heads, mask=None, weights_out=None):
-    """The chain of tape nodes that the fused mha replaces."""
+def flush_floor(dtype, n_k):
+    """The shifted logit below which `mha` gives weight exactly 0."""
+    return np.dtype(dtype).type(math.log(np.finfo(dtype).tiny) + math.log(n_k) + 1)
+
+
+def reference_mha(q, k, v, heads, mask=None, weights_out=None, flush=False):
+    """The chain of tape nodes that the fused mha replaces; with `flush`,
+    the flushed oracle: every shifted logit below `flush_floor` is -inf."""
     def split(x):
         n, d = x.shape
         return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
 
     qh, kh, vh = split(q), split(k), split(v)
     logits = matmul(qh, kh.transpose(0, 2, 1)) * (1.0 / float(np.sqrt(q.shape[-1] // heads)))
-    attn = softmax(logits, True if mask is None else mask)
+    floor = flush_floor(logits.dtype, k.shape[0]) if flush else None
+    attn = softmax(logits, True if mask is None else mask, floor=floor)
     if weights_out is not None:
         weights_out["weights"] = attn.data.copy()
     out = matmul(attn, vh)
@@ -260,12 +271,20 @@ def _split_case(dtype, d):
     return [rng.normal(size=(256, d)).astype(dtype) for _ in range(4)]
 
 
-def _run_mha(arrays, heads, mask=None):
+def _run_mha(arrays, heads, mask=None, fn=mha):
     q, k, v = (Tensor(a, requires_grad=True) for a in arrays[:3])
     cap = {}
-    out = mha(q, k, v, heads, mask=mask, weights_out=cap)
+    out = fn(q, k, v, heads, mask=mask, weights_out=cap)
     (out * Tensor(arrays[3])).sum().backward()
     return out.data, cap["weights"], q.grad, k.grad, v.grad
+
+
+def _flushed_oracle(q, k, v, heads, mask=None, weights_out=None):
+    return reference_mha(q, k, v, heads, mask, weights_out, flush=True)
+
+
+def _subnormal(w):
+    return (w != 0) & (np.abs(w) < np.finfo(w.dtype).tiny)
 
 
 class _NoWorker:
@@ -371,6 +390,127 @@ class TestMhaHeadSplit:
                 os._exit(2)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+# q/k scales of `_split_case` at which the plain softmax chain gives
+# subnormal weights: most weights kept, or about one a row (the sparse
+# branch of `_exp_flushed`)
+FLUSH_SCALES = {np.float32: {"most": 6.0, "one_a_row": 60.0},
+                np.float64: {"most": 20.0, "one_a_row": 100.0}}
+
+
+def _flush_case(dtype, kept):
+    arrays = _split_case(dtype, 64)
+    for a in arrays[:2]:
+        a *= FLUSH_SCALES[dtype][kept]
+    return arrays
+
+
+class TestMhaFlush:
+    """A logit below the floor after the max subtraction gets weight
+    exactly 0: `mha` is bit-equal to the flushed oracle, and none of its
+    weights is subnormal."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_worker(self, monkeypatch):
+        monkeypatch.setattr(T, "_worker", None)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("kept", ["most", "one_a_row"])
+    def test_bit_equal_to_the_flushed_oracle(self, monkeypatch, dtype, masked,
+                                             cpus, kept):
+        monkeypatch.setattr(T, "_cpu_count", lambda: cpus)
+        arrays = _flush_case(dtype, kept)
+        mask = np.random.default_rng(1).uniform(size=256) < 0.6 if masked else None
+        fused = _run_mha(arrays, 8, mask)
+        assert (T._worker is not None) == (cpus == 2)
+        for a, b in zip(fused, _run_mha(arrays, 8, mask, _flushed_oracle)):
+            assert_bit_equal(a, b)
+        plain = _run_mha(arrays, 8, mask, reference_mha)[1]
+        assert _subnormal(plain).any()      # so the case tests the flush
+        weights = fused[1]
+        assert not _subnormal(weights).any()
+        if masked:
+            assert (weights[:, :, ~mask] == 0).all()
+        sparse = np.count_nonzero(weights) * T.SPARSE_KEEP <= weights.size
+        assert sparse == (kept == "one_a_row")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_a_logit_just_below_the_floor_gets_weight_zero(self, dtype, masked):
+        # one head of one channel and q = 1: the logits are the keys
+        n_k = 4 if masked else 3
+        floor = float(flush_floor(dtype, n_k))
+        keys = [0.0, floor - 0.5, floor + 0.5] + [0.0] * masked
+        mask = np.array([True, True, True, False]) if masked else None
+        arrays = [np.ones((1, 1), dtype), np.array(keys, dtype)[:, None],
+                  np.arange(1.0, n_k + 1, dtype=dtype)[:, None], np.ones((1, 1), dtype)]
+        fused = _run_mha(arrays, 1, mask)
+        for a, b in zip(fused, _run_mha(arrays, 1, mask, _flushed_oracle)):
+            assert_bit_equal(a, b)
+        weights = fused[1][0, 0]
+        assert weights[1] == 0 and weights[2] > 0
+        assert _run_mha(arrays, 1, mask, reference_mha)[1][0, 0, 1] > 0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_logit_bound_skips_only_what_it_must(self, dtype):
+        # q = c, k = (c, -c): the row spread 2c^2 is exactly the bound's,
+        # and 5% beyond -floor, so the second key must be flushed
+        floor = float(flush_floor(dtype, 2))
+        c = math.sqrt(1.05 * -floor / 2)
+        arrays = [np.full((1, 1), c, dtype), np.array([[c], [-c]], dtype),
+                  np.array([[1.0], [2.0]], dtype), np.ones((1, 1), dtype)]
+        fused = _run_mha(arrays, 1)
+        for a, b in zip(fused, _run_mha(arrays, 1, fn=_flushed_oracle)):
+            assert_bit_equal(a, b)
+        assert fused[1][0, 0, 1] == 0
+
+    def test_nan_on_the_flush_path_names_mha(self, monkeypatch):
+        flushed = []
+        exp_flushed = T._exp_flushed
+        monkeypatch.setattr(T, "_exp_flushed",
+                            lambda a, floor: (flushed.append(1), exp_flushed(a, floor)))
+        q, k, v, _ = _flush_case(np.float32, "most")
+        v[5, 3] = np.nan
+        with pytest.raises(NumericsError, match="produced by mha$"):
+            mha(Tensor(q), Tensor(k), Tensor(v), 8)
+        assert flushed
+
+    def test_small_logits_skip_the_flush(self, monkeypatch):
+        monkeypatch.setattr(T, "_exp_flushed", None)    # a call would raise
+        arrays = _split_case(np.float32, 64)
+        for a, b in zip(_run_mha(arrays, 8), _run_mha(arrays, 8, fn=reference_mha)):
+            assert_bit_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]), n_q=st.integers(1, 4),
+       n_k=st.integers(1, 300), heads=st.sampled_from([1, 2]),
+       q_log=st.floats(-3, 3), k_log=st.floats(-3, 3), masked=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(dtype=np.float32, n_q=4, n_k=300, heads=2, q_log=3, k_log=3,
+         masked=False, seed=0)     # the sparse branch
+@example(dtype=np.float64, n_q=4, n_k=50, heads=1, q_log=1.2, k_log=1.2,
+         masked=True, seed=0)      # the dense branch
+def test_mha_is_the_flushed_oracle_at_any_scale(dtype, n_q, n_k, heads, q_log,
+                                                k_log, masked, seed):
+    """Neither the logit bound nor the group's smallest logit, which
+    decide whether `mha` flushes, ever changes a result."""
+    rng = np.random.default_rng(seed)
+    d = 4 * heads
+    arrays = [rng.normal(size=(n, d)).astype(dtype) for n in (n_q, n_k, n_k, n_q)]
+    arrays[0] *= dtype(10.0 ** q_log)
+    arrays[1] *= dtype(10.0 ** k_log)
+    mask = None
+    if masked:
+        mask = rng.uniform(size=n_k) < 0.6
+        mask[rng.integers(n_k)] = True
+    fused = _run_mha(arrays, heads, mask)
+    for a, b in zip(fused, _run_mha(arrays, heads, mask, _flushed_oracle)):
+        assert_bit_equal(a, b)
+    assert not _subnormal(fused[1]).any()
 
 
 class TestBackward:
