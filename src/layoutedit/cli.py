@@ -54,24 +54,42 @@ def _add_config_flags(p: argparse.ArgumentParser, names: str):
         p.add_argument(name, **CONFIG_FLAGS[name])
 
 
+def _flags(args) -> dict:
+    """Config field name -> value, for each config flag given."""
+    out = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)
+           if f.name != "injection"}
+    out["injection.position"] = getattr(args, "injection", None)
+    out["injection.ip_scale"] = getattr(args, "ip_scale", None)
+    return {name: val for name, val in out.items() if val is not None}
+
+
+def _set_in(cfg: RunConfig) -> set:
+    """Names of the fields where `cfg` differs from the defaults."""
+    default = RunConfig()
+    return ({f.name for f in dataclasses.fields(cfg)
+             if f.name != "injection" and getattr(cfg, f.name) != getattr(default, f.name)}
+            | {f"injection.{f.name}" for f in dataclasses.fields(cfg.injection)
+               if getattr(cfg.injection, f.name) != getattr(default.injection, f.name)})
+
+
+def _blame_config(args, e: ConfigError) -> ConfigError:
+    """`e`, naming the --config file when a field it is about was set there
+    and not overridden by a flag."""
+    if args.config and set(e.fields) & (_set_in(RunConfig.load(args.config))
+                                        - _flags(args).keys()):
+        return ConfigError(f"{args.config}: {e}", *e.fields)
+    return e
+
+
 def build_config(args) -> RunConfig:
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    flagged = set()
-    for field in dataclasses.fields(RunConfig):
-        val = getattr(args, field.name, None)
-        if val is not None and field.name != "injection":
-            setattr(cfg, field.name, val)
-            flagged.add(field.name)
-    if getattr(args, "injection", None) is not None:
-        cfg.injection.position = args.injection
-    if getattr(args, "ip_scale", None) is not None:
-        cfg.injection.ip_scale = args.ip_scale
+    for name, val in _flags(args).items():
+        owner = cfg.injection if name.startswith("injection.") else cfg
+        setattr(owner, name.rpartition(".")[2], val)
     try:
         return cfg.apply_env().validate()
     except ConfigError as e:
-        if args.config and e.field is not None and e.field not in flagged:
-            raise ConfigError(f"{args.config}: {e}", e.field) from None
-        raise
+        raise _blame_config(args, e) from None
 
 
 def _checkpoint_config(cfg: RunConfig, config_file) -> RunConfig:
@@ -123,10 +141,7 @@ def _load_inputs(args, cfg: RunConfig):
     (3, image_size, image_size)."""
     from .pipeline import load_image, load_layout
 
-    doc, aux = load_layout(args.layout)
-    if len(doc["boxes"]) > cfg.max_n:
-        raise LayoutError(f"{args.layout}: 'boxes' holds {len(doc['boxes'])} "
-                          f"boxes, above the model's max_n of {cfg.max_n}")
+    doc, aux = load_layout(args.layout, cfg.max_n)
     image = load_image(args.image)
     expected = (3, cfg.image_size, cfg.image_size)
     if image.shape != expected:
@@ -168,11 +183,11 @@ def cmd_edit(args) -> int:
 
     cfg = _checkpoint_config(build_config(args), args.config)
     if cfg.sample_steps > cfg.t_train:
-        raise ConfigError(f"--steps/sample_steps is {cfg.sample_steps}, above "
-                          f"the checkpoint's t_train of {cfg.t_train}: a DDIM "
-                          f"run takes each timestep at most once")
-    pipe = Pipeline(cfg)
-    pipe.load(cfg.checkpoint_dir)
+        raise _blame_config(args, ConfigError(
+            f"--steps/sample_steps is {cfg.sample_steps}, above the "
+            f"checkpoint's t_train of {cfg.t_train}: a DDIM run takes each "
+            f"timestep at most once", "sample_steps"))
+    pipe = Pipeline.from_checkpoint(cfg, cfg.checkpoint_dir)
     doc, aux, image = _load_inputs(args, cfg)
     # load_layout checked the caption's words, so a VocabError is the prompt's
     try:
@@ -282,9 +297,8 @@ def cmd_dump_attention(args) -> int:
         source = "checkpoint" if has_checkpoint else "config"
         raise ConfigError(f"--t must be in [0, {cfg.t_train}), the {source}'s "
                           f"timesteps, got {t}")
-    pipe = Pipeline(cfg)
-    if has_checkpoint:
-        pipe.load(cfg.checkpoint_dir)
+    pipe = (Pipeline.from_checkpoint(cfg, cfg.checkpoint_dir) if has_checkpoint
+            else Pipeline(cfg))
     doc, aux, image = _load_inputs(args, cfg)
     try:
         bundle = pipe.condition(image, doc["boxes"], aux, prompt=args.prompt)

@@ -15,13 +15,21 @@ MODEL_FIELDS = ("d_i", "d_t", "d_l", "d_model", "heads", "max_n",
                 "image_size", "patch_size", "injection", "t_train", "dtype")
 
 
-class ConfigError(ValueError):
-    """Raised on invalid configuration values; `field` names the field
-    whose value alone is invalid, when there is one."""
+# Largest accepted value of each size field, far above any model the numpy
+# engine runs in useful time. Without them a width such as 2**40 passed
+# validation and failed inside numpy, with a MemoryError traceback.
+MAX_SIZE = {"d_i": 1024, "d_t": 1024, "d_l": 1024, "d_model": 1024,
+            "heads": 64, "max_n": 256, "image_size": 128, "t_train": 100_000}
 
-    def __init__(self, message: str, field: str | None = None):
+
+class ConfigError(ValueError):
+    """Raised on invalid configuration values; `fields` names the fields
+    whose values make it invalid (injection's as "injection.<name>"), when
+    the error is about the config's values."""
+
+    def __init__(self, message: str, *fields: str):
         super().__init__(message)
-        self.field = field
+        self.fields = fields
 
 
 def read_json_object(path, error: type, what: str) -> dict:
@@ -47,11 +55,12 @@ def _check_types(obj, prefix: str = ""):
     for f in dataclasses.fields(obj):
         want = _FIELD_TYPES.get(f.type)
         val = getattr(obj, f.name)
+        name = prefix + f.name
         if want and (isinstance(val, bool) or not isinstance(val, want)):
-            raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {val!r}")
+            raise ConfigError(f"{name} must be {f.type}, got {val!r}", name)
         # False for NaN, infinities and ints too large for a float
         if f.type == "float" and not abs(val) <= sys.float_info.max:
-            raise ConfigError(f"{prefix}{f.name} must be finite, got {val!r}")
+            raise ConfigError(f"{name} must be finite, got {val!r}", name)
 
 
 def _reject_unknown(cls, d: dict, where: str):
@@ -69,7 +78,8 @@ class InjectionConfig:
         _check_types(self, "injection.")
         if self.position not in INJECTION_SITES:
             raise ConfigError(f"unknown injection position {self.position!r}; "
-                              f"valid: {', '.join(INJECTION_SITES)}")
+                              f"valid: {', '.join(INJECTION_SITES)}",
+                              "injection.position")
 
 
 @dataclass
@@ -109,6 +119,10 @@ class RunConfig:
                      "train_steps", "t_train"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive", name)
+        for name, most in MAX_SIZE.items():
+            if getattr(self, name) > most:
+                raise ConfigError(f"{name} must be at most {most}, got "
+                                  f"{getattr(self, name)}", name)
         # the timestep embedding is sin/cos halves; the latent is a 2x2
         # space-to-depth of the image
         for name in ("d_model", "image_size"):
@@ -116,16 +130,18 @@ class RunConfig:
                 raise ConfigError(f"{name} must be even, got {getattr(self, name)}",
                                   name)
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("dropout_rate must be in [0, 1)")
+            raise ConfigError("dropout_rate must be in [0, 1)", "dropout_rate")
         if self.lam < 0.0:
-            raise ConfigError("lam must be >= 0")
+            raise ConfigError("lam must be >= 0", "lam")
         if self.image_size % self.patch_size != 0:
-            raise ConfigError("image_size must be divisible by patch_size")
-        for d in (self.d_i, self.d_t, self.d_model):
-            if d % self.heads != 0:
-                raise ConfigError(f"extent {d} not divisible by heads={self.heads}")
+            raise ConfigError("image_size must be divisible by patch_size",
+                              "image_size", "patch_size")
+        for name in ("d_i", "d_t", "d_model"):
+            if getattr(self, name) % self.heads != 0:
+                raise ConfigError(f"{name}={getattr(self, name)} not divisible by "
+                                  f"heads={self.heads}", name, "heads")
         if self.dtype not in ("float32", "float64"):
-            raise ConfigError(f"unknown dtype {self.dtype!r}")
+            raise ConfigError(f"unknown dtype {self.dtype!r}", "dtype")
         self.injection.validate()
         return self
 

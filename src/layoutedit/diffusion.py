@@ -124,7 +124,7 @@ class DenoiserBlock:
 class DenoiserState:
     """Block parameters keyed by name plus the injection sites."""
 
-    def __init__(self, config: RunConfig, rng: Rng):
+    def __init__(self, config: RunConfig, rng: Rng, ip_rng=None):
         self.config = config
         self.schedule = NoiseSchedule(config.t_train)
         grid = config.image_size // FACTOR
@@ -141,8 +141,10 @@ class DenoiserState:
         self.pos = Param("den.pos", r.spawn("pos").normal((self.n_tokens, d), std=0.1))
         self.w_time = _proj("den.w_time", r, d, d)
         self.b_time = Param("den.b_time", np.zeros(d))
-        # an adapter branch only at injection sites, from streams "<site>.w_kf" etc.
-        ip_rng = Rng(config.seed + IP_SEED_OFFSET)
+        # an adapter branch only at injection sites, from streams "<site>.w_kf"
+        # etc. of `ip_rng`, by default Rng(config.seed + IP_SEED_OFFSET)
+        if ip_rng is None:
+            ip_rng = Rng(config.seed + IP_SEED_OFFSET)
         self.blocks = {name: DenoiserBlock(
             f"den.{name}", d, config.d_t, config.d_i, config.heads, r,
             name in self.site_scales and (lambda sub, s=name: ip_rng.spawn(f"{s}.{sub}")))

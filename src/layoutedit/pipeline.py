@@ -18,17 +18,20 @@ from .diffusion import (DenoiserState, image_to_latent, latent_to_image,
                         sample, training_step)
 from .encoders import ImageEncoder, TextEncoder
 from .ilfm import IlfmParams, ilfm_forward
-from .layout import LayoutEmbedder, build_layout, load_layout_json
+from .layout import LayoutEmbedder, LayoutError, build_layout, load_layout_json
 from .qlt import QltError, load_checkpoint, load_qlt, save_checkpoint
-from .rng import Rng
+from .rng import NoDraw, Rng
 from .tensor import Tensor, adamw_step, checked_once, params_of
 
 
 class Pipeline:
-    def __init__(self, config: RunConfig):
+    def __init__(self, config: RunConfig, draw: bool = True):
+        """Every component, its parameters drawn from `config.seed`; with
+        `draw` False, zeros for a caller that loads every parameter (see
+        `from_checkpoint`)."""
         config.validate()
         self.config = config
-        rng = Rng(config.seed)
+        rng = Rng(config.seed) if draw else NoDraw()
         grid = config.image_size // config.patch_size
         self.image_encoder = ImageEncoder(config.d_i, config.patch_size,
                                           config.image_size, config.heads, rng)
@@ -38,10 +41,19 @@ class Pipeline:
                                config.heads, rng)
         self.cmam = CmamParams(config.d_t, config.d_i, config.heads, rng)
         self.fuse = FuseParams(config.d_i, config.d_t, config.heads, rng)
-        self.denoiser = DenoiserState(config, rng)
+        self.denoiser = DenoiserState(config, rng, None if draw else rng)
         dtype = np.float32 if config.dtype == "float32" else np.float64
         for p in params_of(self):
             p.set_dtype(dtype)
+
+    @classmethod
+    def from_checkpoint(cls, config: RunConfig, directory) -> "Pipeline":
+        """The pipeline whose every parameter `load` copies from the
+        checkpoint in `directory`, built without the random draws that
+        the load would replace."""
+        pipe = cls(config, draw=False)
+        pipe.load(directory)
+        return pipe
 
     # ------------------------------------------------------------------
     def named_params(self) -> dict:
@@ -104,7 +116,7 @@ class Pipeline:
     def load_scene(self, data_dir, name: str):
         """Return (image, latent, bundle-with-empty-prompt) for a scene."""
         data_dir = Path(data_dir)
-        doc, caption = load_layout(data_dir / f"{name}.json")
+        doc, caption = load_layout(data_dir / f"{name}.json", self.config.max_n)
         image = load_qlt(data_dir / doc["image"])
         latent = image_to_latent(
             np.asarray(image, dtype=self.denoiser.w_in.data.dtype))
@@ -183,13 +195,18 @@ def _keep_freed_memory():
     mallopt(-1, 256 << 20)    # M_TRIM_THRESHOLD
 
 
-def load_layout(path):
-    """Read a layout file; return it and its auxiliary caption."""
+def load_layout(path, max_n: int):
+    """Read a layout file of at most `max_n` boxes; return it and its
+    auxiliary caption."""
     doc = load_layout_json(path)
     try:
-        return doc, caption_for(doc["count"], doc["category"])
+        caption = caption_for(doc["count"], doc["category"])
     except DatasetError as e:
         raise DatasetError(f"{path}: {e}") from None
+    if len(doc["boxes"]) > max_n:
+        raise LayoutError(f"{path}: 'boxes' holds {len(doc['boxes'])} boxes, "
+                          f"above the model's max_n of {max_n}")
+    return doc, caption
 
 
 def load_image(path) -> np.ndarray:

@@ -67,3 +67,15 @@ class Rng:
             for b in key.encode("utf-8"):
                 h = (h ^ np.uint64(b)) * _FNV_PRIME
             return Rng(int(_mix(np.uint64(self.seed) ^ h)))
+
+
+class NoDraw:
+    """Stands in for an `Rng` where a checkpoint load replaces every draw:
+    its streams are itself and `normal` gives zeros, so parameter init
+    only allocates each array at its shape."""
+
+    def spawn(self, key: str) -> "NoDraw":
+        return self
+
+    def normal(self, shape=(), std: float = 1.0) -> np.ndarray:
+        return np.zeros(shape)

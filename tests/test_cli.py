@@ -115,6 +115,14 @@ class TestSynth:
          "d_model must be even, got 9"),
         ({"image_size": 21, "patch_size": 7}, "image_size must be even, got 21"),
         ({"t_train": 0}, "t_train must be positive"),
+        ({"dropout_rate": 2.0}, "dropout_rate must be in [0, 1)"),
+        ({"lam": -1.0}, "lam must be >= 0"),
+        ({"patch_size": 5}, "image_size must be divisible by patch_size"),
+        ({"d_t": 12}, "d_t=12 not divisible by heads=8"),
+        ({"dtype": "float16"}, "unknown dtype 'float16'"),
+        ({"injection": {"position": "up9"}}, "unknown injection position 'up9'"),
+        ({"d_model": 2**40}, f"d_model must be at most 1024, got {2**40}"),
+        ({"t_train": 10**400}, "t_train must be at most 100000"),
     ])
     def test_bad_extent_in_config_file_names_it(self, tmp_path, capsys, doc,
                                                  message):
@@ -127,6 +135,11 @@ class TestSynth:
         cfg = small_config_file(tmp_path)
         assert main(["train", "--config", cfg, "--train-steps", "0"]) == 1
         assert "error: train_steps must be positive" in capsys.readouterr().err
+        # a flag that clashes with a width the file left at its default
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 4}))
+        assert main(["train", "--config", str(path), "--heads", "3"]) == 1
+        assert "error: d_i=64 not divisible by heads=3" in capsys.readouterr().err
 
     def test_synth_below_16_px_names_image_size(self, tmp_path, capsys):
         cfg = small_config_file(tmp_path, image_size=8)
@@ -201,6 +214,13 @@ class TestTrainAndEdit:
         assert main(["train", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert str(index) in err and field in err
+
+    def test_train_scene_above_max_n_names_the_file(self, tmp_path, capsys):
+        cfg = run_synth(tmp_path)
+        scene = tmp_path / "data" / "scene_002.json"    # 3 boxes
+        assert main(["train", "--config", cfg, "--max-n", "2"]) == 1
+        assert (f"{scene}: 'boxes' holds 3 boxes, above the model's max_n of 2"
+                in capsys.readouterr().err)
 
     def test_train_scene_category_names_the_file(self, tmp_path, capsys):
         cfg = run_synth(tmp_path)
@@ -494,7 +514,18 @@ class TestTrainAndEdit:
         assert rc == 1
         err = capsys.readouterr().err
         assert "--steps/sample_steps is 51" in err and "t_train of 50" in err
+        assert cfg not in err       # the flag set it
         assert not (tmp_path / "x.qlt").exists()
+        # the same value from a config file names the file
+        path = tmp_path / "steps.json"
+        path.write_text(json.dumps({**json.loads(Path(cfg).read_text()),
+                                    "sample_steps": 51}))
+        rc = main(["edit", "--config", str(path),
+                   "--image", str(root / "data" / "scene_000.ppm"),
+                   "--layout", str(root / "data" / "scene_000.json"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert f"error: {path}: --steps/sample_steps is 51" in capsys.readouterr().err
 
     def test_edit_without_checkpoint_fails(self, tmp_path, capsys):
         cfg = run_synth(tmp_path)
@@ -806,3 +837,70 @@ def test_edit_any_layout_exits_0_or_1_naming_the_file_and_field(trained, capsys,
         err = capsys.readouterr().err
         assert str(path) in err
         assert any(field in err for field in ("boxes", "count", "category", "JSON"))
+
+
+# fuzzed --config files for train and edit: exit 0 or 1, and an exit-1
+# message names the file. The size fields draw small values, wrong types
+# and numbers far beyond any model (never one a machine could allocate).
+_INTS = st.one_of(st.sampled_from([0, -1, 1, 2, 3, 4, 8, 32]),
+                  st.sampled_from([2**40, 2**63, 10**30, 10**400]))
+_FLOATS = st.one_of(st.floats(-10, 10), st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), 10**400]))
+_CONFIG_VALUES = {"seed": _INTS, "d_i": _INTS, "d_t": _INTS, "d_l": _INTS,
+                  "d_model": _INTS, "heads": _INTS, "max_n": _INTS,
+                  "image_size": _INTS, "patch_size": _INTS,
+                  "sample_steps": _INTS, "train_steps": _INTS, "t_train": _INTS,
+                  "lam": _FLOATS, "cfg_w": _FLOATS, "lr": _FLOATS,
+                  "dropout_rate": _FLOATS,
+                  "dtype": st.sampled_from(["float32", "float64", "float16", ""]),
+                  "data_dir": st.text(max_size=3), "checkpoint_dir": st.text(max_size=3),
+                  "report_dir": st.text(max_size=3),
+                  "injection": st.fixed_dictionaries({}, optional={
+                      "position": st.sampled_from(["down2", "down4", "mid", "all", "up9"]),
+                      "ip_scale": _FLOATS})}
+
+
+@st.composite
+def config_texts(draw, base: dict):
+    """Config JSON: `base` with some fields set to values valid or not
+    (wrong types, out of range, non-finite, huge), maybe an unknown key,
+    the text cut, or a document that is not an object."""
+    doc = dict(base)
+    for key in draw(st.sets(st.sampled_from(sorted(_CONFIG_VALUES)), max_size=3)):
+        doc[key] = draw(st.one_of(_CONFIG_VALUES[key], _JSON_ANY))
+    if draw(st.booleans()) and draw(st.booleans()):
+        doc["bogus"] = 1
+    text = json.dumps(doc)
+    return draw(st.sampled_from([text, text, text, text[:len(text) // 2], "[]"]))
+
+
+@FUZZ
+@given(data=st.data())
+def test_train_any_config_exits_0_or_1_naming_the_file(trained, capsys, data):
+    root, cfg = trained
+    path = root / "fuzz_config.json"
+    path.write_text(data.draw(config_texts(json.loads(Path(cfg).read_text()))))
+    capsys.readouterr()
+    rc = main(["train", "--config", str(path), "--data-dir", str(root / "data"),
+               "--checkpoint-dir", str(root / "fuzz_ckpt"), "--train-steps", "1"])
+    assert rc in (0, 1)
+    if rc == 1:
+        # a max_n below a scene's box count names that scene's file instead
+        err = capsys.readouterr().err
+        assert str(path) in err or ("max_n" in err and str(root / "data") in err)
+
+
+@FUZZ
+@given(data=st.data())
+def test_edit_any_config_exits_0_or_1_naming_the_file(trained, capsys, data):
+    root, cfg = trained
+    path = root / "fuzz_config.json"
+    path.write_text(data.draw(config_texts(json.loads(Path(cfg).read_text()))))
+    capsys.readouterr()
+    rc = main(["edit", "--config", str(path), "--checkpoint-dir",
+               str(root / "ckpt"), "--image", str(root / "data" / "scene_000.ppm"),
+               "--layout", str(root / "data" / "scene_000.json"),
+               "--prompt", "two circles", "--out", str(root / "fuzz_out")])
+    assert rc in (0, 1)
+    if rc == 1:
+        assert str(path) in capsys.readouterr().err

@@ -40,7 +40,7 @@ def test_rejects_indivisible_dims():
 def test_rejects_odd_extents(kw, field):
     with pytest.raises(ConfigError, match=f"{field} must be even") as info:
         RunConfig(**kw).validate()
-    assert info.value.field == field
+    assert info.value.fields == (field,)
 
 
 def test_rejects_unknown_injection_site():

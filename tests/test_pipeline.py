@@ -248,6 +248,41 @@ def test_load_missing_param(pipe, tmp_path):
         pipe.load(tmp_path / "bad")
 
 
+class TestFromCheckpoint:
+    """`Pipeline.from_checkpoint` allocates every parameter without drawing
+    it, then loads: the same model as `Pipeline(cfg)` plus `load`."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("injection", ["down4", "all"])
+    def test_equals_a_drawn_build_plus_load(self, tmp_path, monkeypatch, dtype,
+                                            injection):
+        cfg = small_config(tmp_path, dtype=dtype)
+        cfg.injection.position = injection
+        # a checkpoint whose every weight differs from the seed's draw
+        Pipeline(dataclasses.replace(cfg, seed=41)).save(tmp_path / "ckpt")
+        drawn = Pipeline(cfg)
+        drawn.load(tmp_path / "ckpt")
+        draws = []
+        normal = Rng.normal
+        monkeypatch.setattr(Rng, "normal",
+                            lambda *a, **kw: (draws.append(1), normal(*a, **kw))[1])
+        built = Pipeline.from_checkpoint(cfg, tmp_path / "ckpt")
+        assert draws == []
+        mine = drawn.named_params()
+        assert list(built.named_params()) == list(mine)
+        for name, p in built.named_params().items():
+            assert p.data.dtype == mine[name].data.dtype == np.dtype(dtype)
+            assert p.data.tobytes() == mine[name].data.tobytes(), name
+
+    def test_missing_parameter_names_it(self, tmp_path):
+        cfg = small_config(tmp_path)
+        named = {n: p.data for n, p in Pipeline(cfg).named_params().items()
+                 if n != "den.mid.w1"}
+        save_checkpoint(tmp_path / "ckpt", named)
+        with pytest.raises(QltError, match="missing parameter den.mid.w1"):
+            Pipeline.from_checkpoint(cfg, tmp_path / "ckpt")
+
+
 class TestInitIpWeights:
     @staticmethod
     def cross(pipe):

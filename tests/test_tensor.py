@@ -204,12 +204,24 @@ def assert_bit_equal(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def _spy_folds(monkeypatch) -> list:
+    """Record whether each row reduction in `mha` folds over the keys."""
+    taken, folds = [], T._folds
+    monkeypatch.setattr(T, "_folds", lambda a: (taken.append(folds(a)), taken[-1])[1])
+    return taken
+
+
 class TestFusedMha:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("masked", [False, True])
-    @pytest.mark.parametrize("n_q,n_k,d,heads", [(1, 7, 16, 2), (5, 1, 16, 4),
-                                                 (256, 256, 64, 8)])
-    def test_bit_equal_to_unfused_chain(self, dtype, masked, n_q, n_k, d, heads):
+    @pytest.mark.parametrize("n_q,n_k,d,heads", [
+        (1, 7, 16, 2), (5, 1, 16, 4), (256, 256, 64, 8),
+        # a fold over the key columns: few keys, at least FOLD_ROWS rows
+        (256, 1, 64, 8), (256, 2, 64, 8), (256, 7, 64, 8), (32, 7, 64, 8),
+        # numpy's reductions: 8 keys, or too few rows
+        (256, 8, 64, 8), (31, 2, 64, 8)])
+    def test_bit_equal_to_unfused_chain(self, monkeypatch, dtype, masked, n_q,
+                                        n_k, d, heads):
         rng = np.random.default_rng(n_q * 1000 + n_k)
         arrays = [rng.normal(size=s).astype(dtype) for s in ((n_q, d), (n_k, d), (n_k, d))]
         r = rng.normal(size=(n_q, d)).astype(dtype)
@@ -217,6 +229,7 @@ class TestFusedMha:
         if masked:
             mask = rng.uniform(size=n_k) < 0.6
             mask[rng.integers(n_k)] = True
+        taken = _spy_folds(monkeypatch)
         results = []
         for fn in (mha, reference_mha):
             q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
@@ -226,6 +239,31 @@ class TestFusedMha:
             results.append((out.data, cap["weights"], q.grad, k.grad, v.grad))
         for fused, ref in zip(*results):
             assert_bit_equal(fused, ref)
+        # forward max and sum, backward sum, in each head group
+        assert taken and set(taken) == {n_k < T.FOLD_KEYS and heads * n_q >= T.FOLD_ROWS}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_k", [2, 7])
+    def test_folded_backward_with_negative_zero_terms(self, dtype, n_k):
+        # the first key is masked, so its weight is +0 and da * a is -0.0
+        # wherever da < 0: the fold's row sums start from +0.0, as numpy's
+        rng = np.random.default_rng(n_k)
+        arrays = [rng.normal(size=s).astype(dtype) for s in ((256, 64), (n_k, 64), (n_k, 64))]
+        r = rng.normal(size=(256, 64)).astype(dtype)
+        mask = np.arange(n_k) > 0
+        results = []
+        for fn in (mha, reference_mha):
+            q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+            cap = {}
+            out = fn(q, k, v, 8, mask=mask, weights_out=cap)
+            (out * Tensor(r)).sum().backward()
+            results.append((out.data, cap["weights"], q.grad, k.grad, v.grad))
+        for fused, ref in zip(*results):
+            assert_bit_equal(fused, ref)
+        split = lambda x: x.reshape(x.shape[0], 8, -1).transpose(1, 0, 2)
+        da_a = (split(r) @ split(arrays[2]).transpose(0, 2, 1)) * results[0][1]
+        first = da_a[..., 0]
+        assert ((first == 0) & np.signbit(first)).any()
 
     def test_one_node_with_qkv_parents(self, np_rng):
         q, k, v = (Tensor(np_rng.normal(size=(3, 4)), requires_grad=True)
@@ -233,6 +271,31 @@ class TestFusedMha:
         out = mha(q, k, v, heads=2)
         assert len(out._parents) == 3
         assert all(p is x for p, x in zip(out._parents, (q, k, v)))
+
+
+_FOLD_ELEMENTS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, width=32),
+    st.sampled_from([0.0, -0.0, 1e-45, -1e-45, 1.0, -1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]), n_k=st.integers(1, 7),
+       seed=st.integers(0, 2**32 - 1), values=st.lists(_FOLD_ELEMENTS, min_size=1,
+                                                       max_size=16))
+@example(dtype=np.float32, n_k=3, seed=0, values=[-0.0])     # rows of -0.0 only
+@example(dtype=np.float64, n_k=2, seed=0, values=[-0.0, 0.0])
+def test_row_folds_are_numpys_reductions(dtype, n_k, seed, values):
+    """The key-column folds give numpy's row sum bit for bit and its row
+    max up to the sign of a zero, NaN and infinities included."""
+    rows = T.FOLD_ROWS
+    a = np.random.default_rng(seed).choice(np.array(values, dtype), size=(2, rows // 2, n_k))
+    assert T._folds(a)
+    with np.errstate(over="ignore", invalid="ignore"):    # inf + -inf, overflow
+        assert_bit_equal(T._row_reduce(np.add, a), a.sum(axis=-1, keepdims=True))
+    top = T._row_reduce(np.maximum, a)
+    expected = a.max(axis=-1, keepdims=True)
+    assert top.dtype == expected.dtype and top.shape == expected.shape
+    np.testing.assert_array_equal(top, expected)
 
 
 class TestMhaNonFinite:
@@ -486,14 +549,19 @@ class TestMhaFlush:
 
 
 @settings(max_examples=200, deadline=None)
-@given(dtype=st.sampled_from([np.float32, np.float64]), n_q=st.integers(1, 4),
-       n_k=st.integers(1, 300), heads=st.sampled_from([1, 2]),
+@given(dtype=st.sampled_from([np.float32, np.float64]),
+       n_q=st.one_of(st.integers(1, 4), st.integers(100, 300)),
+       n_k=st.one_of(st.integers(1, 9), st.integers(1, 300)), heads=st.sampled_from([1, 2]),
        q_log=st.floats(-3, 3), k_log=st.floats(-3, 3), masked=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 @example(dtype=np.float32, n_q=4, n_k=300, heads=2, q_log=3, k_log=3,
          masked=False, seed=0)     # the sparse branch
 @example(dtype=np.float64, n_q=4, n_k=50, heads=1, q_log=1.2, k_log=1.2,
          masked=True, seed=0)      # the dense branch
+@example(dtype=np.float32, n_q=256, n_k=3, heads=1, q_log=2, k_log=2,
+         masked=True, seed=0)      # a fold over the keys, flushed
+@example(dtype=np.float64, n_q=128, n_k=7, heads=2, q_log=0, k_log=0,
+         masked=False, seed=0)     # a fold over the keys at FOLD_ROWS
 def test_mha_is_the_flushed_oracle_at_any_scale(dtype, n_q, n_k, heads, q_log,
                                                 k_log, masked, seed):
     """Neither the logit bound nor the group's smallest logit, which
