@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import CrossAttention, attend
+from .attention import CrossAttention, attend, query
 from .rng import Rng
-from .tensor import Param, Tensor, add, linear, mul
+from .tensor import Param, Tensor, add, mul
 
 
 @dataclass
@@ -91,11 +91,12 @@ def dual_branch_attention(block: DualBranchAttention, z: Tensor,
 
     Both branches are `attend` calls from one shared query projection,
     IP-Adapter's decoupled cross attention: the text branch over `f_t`,
-    the adapter branch over `f`. With lam == 0, or without an adapter
-    branch, the result is bit-equal to the text branch alone, and the
-    output is affine in lam.
+    the adapter branch over `f`. The query is projected only when some
+    branch has more than one key (`query`). With lam == 0, or without an
+    adapter branch, the result is bit-equal to the text branch alone, and
+    the output is affine in lam.
     """
-    q = linear(z, block.w_q.tensor)
+    q = query(z, block.w_q, f_t, *([] if block.w_kf is None else [f]))
     text_w = {} if weights_out is not None else None
     text = attend(q, f_t, block.w_kt, block.w_vt, block.w_ot, block.heads, text_w)
     if weights_out is not None:

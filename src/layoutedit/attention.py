@@ -2,16 +2,18 @@
 
 `attend` is the one "project keys and values from a source, attend,
 project out" path: the blocks here, CMAM, `fuse` and both branches of
-the dual-branch attention (which share one query) run through it. ILFM
-calls `mha` itself: its keys join two projected sources with positions,
-it masks padded boxes, and it has no output projection.
+the dual-branch attention (which share one query) run through it. A
+one-row source takes `one_key`, which needs no query, so `query`
+projects one only for a source of more rows. ILFM calls `mha` itself:
+its keys join two projected sources with positions, it masks padded
+boxes, and it has no output projection.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .rng import Rng
-from .tensor import Param, Tensor, concat, linear, mha
+from .tensor import Param, Tensor, concat, linear, mha, one_key
 
 
 def _proj(name: str, rng: Rng, d_in: int, d_out: int, std: float | None = None) -> Param:
@@ -19,13 +21,27 @@ def _proj(name: str, rng: Rng, d_in: int, d_out: int, std: float | None = None) 
     return Param(name, rng.spawn(name).normal((d_in, d_out), std=std))
 
 
-def attend(q: Tensor, source: Tensor, w_k: Param, w_v: Param, w_o: Param,
+def query(x: Tensor, w_q: Param, *sources: Tensor):
+    """The projected query x @ w_q for `attend` over `sources`, or, when
+    every source is one row, only x's row count: `one_key` reads no query."""
+    if any(s.shape[0] > 1 for s in sources):
+        return linear(x, w_q.tensor)
+    return x.shape[0]
+
+
+def attend(q, source: Tensor, w_k: Param, w_v: Param, w_o: Param,
            heads: int, weights_out: dict | None = None) -> Tensor:
-    """mha(q, source @ w_k, source @ w_v) @ w_o for a projected query `q`;
-    `mha` stores the per-head weights in `weights_out["weights"]`."""
+    """mha(q, source @ w_k, source @ w_v) @ w_o for a projected query `q`
+    (from `query`); a one-row source takes `one_key` instead, bit-equal.
+    The per-head weights go to `weights_out["weights"]`."""
     k = linear(source, w_k.tensor)
     v = linear(source, w_v.tensor)
-    return linear(mha(q, k, v, heads, weights_out=weights_out), w_o.tensor)
+    if source.shape[0] == 1:
+        n_q = q if isinstance(q, int) else q.shape[0]
+        att = one_key(k, v, n_q, heads, weights_out=weights_out)
+    else:
+        att = mha(q, k, v, heads, weights_out=weights_out)
+    return linear(att, w_o.tensor)
 
 
 class CrossAttention:
@@ -44,7 +60,7 @@ class CrossAttention:
         self.w_o = _proj(f"{name}.w_o", rng, d_attn, d_out)
 
     def __call__(self, f1: Tensor, f2: Tensor) -> Tensor:
-        return attend(linear(f1, self.w_q.tensor), f2, self.w_k, self.w_v,
+        return attend(query(f1, self.w_q, f2), f2, self.w_k, self.w_v,
                       self.w_o, self.heads)
 
 

@@ -63,20 +63,18 @@ def _flags(args) -> dict:
     return {name: val for name, val in out.items() if val is not None}
 
 
-def _set_in(cfg: RunConfig) -> set:
-    """Names of the fields where `cfg` differs from the defaults."""
-    default = RunConfig()
-    return ({f.name for f in dataclasses.fields(cfg)
-             if f.name != "injection" and getattr(cfg, f.name) != getattr(default, f.name)}
-            | {f"injection.{f.name}" for f in dataclasses.fields(cfg.injection)
-               if getattr(cfg.injection, f.name) != getattr(default.injection, f.name)})
+def _set_in(path) -> set:
+    """Names of the fields that the config file at `path` sets, to any
+    value (a default one included)."""
+    doc = read_json_object(path, ConfigError, "config")
+    inj = doc.get("injection")
+    return set(doc) | {f"injection.{k}" for k in (inj if isinstance(inj, dict) else ())}
 
 
 def _blame_config(args, e: ConfigError) -> ConfigError:
     """`e`, naming the --config file when a field it is about was set there
     and not overridden by a flag."""
-    if args.config and set(e.fields) & (_set_in(RunConfig.load(args.config))
-                                        - _flags(args).keys()):
+    if args.config and set(e.fields) & (_set_in(args.config) - _flags(args).keys()):
         return ConfigError(f"{args.config}: {e}", *e.fields)
     return e
 
@@ -170,8 +168,11 @@ def cmd_train(args) -> int:
     source = "checkpoint" if args.ip_checkpoint else f"random({cfg.seed + IP_SEED_OFFSET})"
     ckpt = Path(cfg.checkpoint_dir)
     ckpt.mkdir(parents=True, exist_ok=True)
-    losses = pipe.train(cfg.data_dir, log_path=ckpt / "loss_log.jsonl",
-                        progress=lambda s, l: print(f"step {s}: loss {l:.4f}"))
+    try:
+        losses = pipe.train(cfg.data_dir, log_path=ckpt / "loss_log.jsonl",
+                            progress=lambda s, l: print(f"step {s}: loss {l:.4f}"))
+    except ConfigError as e:    # a scene image of another size than image_size
+        raise _blame_config(args, e) from None
     pipe.save(ckpt)
     print(f"trained {len(losses)} steps (ip init: {source}); "
           f"checkpoint at {ckpt}")
@@ -185,8 +186,9 @@ def cmd_edit(args) -> int:
     if cfg.sample_steps > cfg.t_train:
         raise _blame_config(args, ConfigError(
             f"--steps/sample_steps is {cfg.sample_steps}, above the "
-            f"checkpoint's t_train of {cfg.t_train}: a DDIM run takes each "
-            f"timestep at most once", "sample_steps"))
+            f"checkpoint's t_train of {cfg.t_train} "
+            f"({Path(cfg.checkpoint_dir) / 'manifest.json'}): a DDIM run "
+            f"takes each timestep at most once", "sample_steps"))
     pipe = Pipeline.from_checkpoint(cfg, cfg.checkpoint_dir)
     doc, aux, image = _load_inputs(args, cfg)
     # load_layout checked the caption's words, so a VocabError is the prompt's

@@ -12,7 +12,7 @@ import numpy as np
 
 from .adapter import ConditionBundle, FuseParams, fuse
 from .cmam import CmamParams, cmam_forward
-from .config import RunConfig, read_json_object
+from .config import ConfigError, RunConfig, read_json_object
 from .data import DatasetError, caption_for, read_ppm
 from .diffusion import (DenoiserState, image_to_latent, latent_to_image,
                         sample, training_step)
@@ -114,10 +114,18 @@ class Pipeline:
 
     # ------------------------------------------------------------------
     def load_scene(self, data_dir, name: str):
-        """Return (image, latent, bundle-with-empty-prompt) for a scene."""
+        """Return (image, latent, bundle-with-empty-prompt) for a scene.
+        An image that is not (3, image_size, image_size) raises a
+        ConfigError about `image_size` that names the image file."""
         data_dir = Path(data_dir)
         doc, caption = load_layout(data_dir / f"{name}.json", self.config.max_n)
-        image = load_qlt(data_dir / doc["image"])
+        path = data_dir / doc["image"]
+        image = load_qlt(path)
+        size = self.config.image_size
+        if image.shape != (3, size, size):
+            raise ConfigError(f"{path}: shape {image.shape} does not match the "
+                              f"expected {(3, size, size)} of image_size {size}",
+                              "image_size")
         latent = image_to_latent(
             np.asarray(image, dtype=self.denoiser.w_in.data.dtype))
         bundle = self.condition(image, doc["boxes"], caption, prompt="")

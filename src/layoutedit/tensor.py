@@ -13,6 +13,14 @@ raises the error naming the op that first produced the value, as it
 would without the boundary. A boundary reached inside another runs as
 a plain call. `mha` checks its logits inside a boundary too.
 
+Each op's backward computes a gradient only for the parents that need
+one (`_needs_grad`: a trainable leaf or a node on the tape) and gives
+None for the rest, such as a frozen weight; a call that records no tape
+never runs that check. `one_key` is attention over a single key: every
+weight is 1, so it reads no query, and its parents are the key and the
+value alone. Bit-equal to `mha` over one key, it keeps the query
+projection off the tape wherever the keys are one row, as in training.
+
 A large `mha` call runs half its heads on one worker thread, when the
 process may use two CPUs (`_over_heads`); its results are bit-identical.
 A call with fewer than 8 keys and at least 256 rows (heads * queries),
@@ -265,7 +273,8 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if _needs_grad(a) else None,
+                _unbroadcast(g, b.data.shape) if _needs_grad(b) else None)
 
     return _node(out, (a, b), bw, "add")
 
@@ -281,8 +290,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def bw(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape) if _needs_grad(a) else None,
+                _unbroadcast(g * a.data, b.data.shape) if _needs_grad(b) else None)
 
     return _node(out, (a, b), bw, "mul")
 
@@ -324,8 +333,11 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def bw(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        ga = gb = None
+        if _needs_grad(a):
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+        if _needs_grad(b):
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
         return ga, gb
 
     return _node(out, (a, b), bw, "matmul")
@@ -347,11 +359,15 @@ def layer_norm(x, gain, bias) -> Tensor:
 
     def bw(g):
         lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
-        dxhat = g * gain.data
-        dx = ivar * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        dx = dgain = dbias = None
+        if _needs_grad(gain):
+            dgain = (g * xhat).sum(axis=lead)
+        if _needs_grad(bias):
+            dbias = g.sum(axis=lead)
+        if _needs_grad(x):
+            dxhat = g * gain.data
+            dx = ivar * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         return dx, dgain, dbias
 
     return _node(out, (x, gain, bias), bw, "layer_norm")
@@ -372,7 +388,8 @@ def concat(xs, axis: int = 0) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
 
     def bw(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(piece if _needs_grad(x) else None
+                     for piece, x in zip(np.split(g, splits, axis=axis), xs))
 
     return _node(out, tuple(xs), bw, "concat")
 
@@ -520,10 +537,15 @@ def _row_reduce(ufunc, a):
     """ufunc.reduce(a, axis=-1, keepdims=True) for np.add or np.maximum;
     where `_folds(a)`, as ((0.0 + a0) op a1) op ..., one call per key
     column. The sum is bit-equal: below 8 terms numpy also adds left to
-    right from +0.0. The max can differ only in the sign of a zero, which
-    subtracting it from the logits and taking exp erases."""
+    right from +0.0. Where it does not fold, the max is np.fmax's
+    reduction, which took 98 us against np.maximum's 153 for a
+    [4, 256, 256] float32 head group. Either max can differ from
+    np.maximum's reduction only in the sign of a zero, which subtracting
+    it from the logits and taking exp erases, and, for fmax, on NaN,
+    which the logits scan or bound keeps out of `mha`."""
     if not _folds(a):
-        return ufunc.reduce(a, axis=-1, keepdims=True)
+        reduce = np.fmax.reduce if ufunc is np.maximum else ufunc.reduce
+        return reduce(a, axis=-1, keepdims=True)
     acc = 0.0 + a[..., :1]
     for j in range(1, a.shape[-1]):
         ufunc(acc, a[..., j:j + 1], out=acc)
@@ -556,14 +578,23 @@ def _attend_heads(hs, qh, kt, vh, scale, mask, scan, floor, attn, out):
 
 
 def _attend_heads_backward(hs, gh, qh, kh, vh, attn, scale, dq, dk, dv):
-    """Backward of heads `hs` into dq[hs], dk[hs] and dv[hs]."""
+    """Backward of heads `hs` into dq[hs], dk[hs] and dv[hs], skipping
+    each buffer that is None. The logits' gradient is computed in place
+    in `da`, by the ops of (da - sum(da * a)) * a * scale in that order."""
     a, g = attn[hs], gh[hs]
+    if dv is not None:
+        np.matmul(np.swapaxes(a, -1, -2), g, out=dv[hs])
+    if dq is None and dk is None:
+        return
     da = g @ np.swapaxes(vh[hs], -1, -2)
-    np.matmul(np.swapaxes(a, -1, -2), g, out=dv[hs])
-    dl = (da - _row_reduce(np.add, da * a)) * a
-    dl *= scale
-    np.matmul(dl, kh[hs], out=dq[hs])
-    np.matmul(np.swapaxes(qh[hs], -1, -2), dl, out=dk[hs])
+    da = da.astype(np.result_type(da, a), copy=False)
+    da -= _row_reduce(np.add, da * a)
+    da *= a
+    da *= scale
+    if dq is not None:
+        np.matmul(da, kh[hs], out=dq[hs])
+    if dk is not None:
+        np.matmul(np.swapaxes(qh[hs], -1, -2), da, out=dk[hs])
 
 
 def mha(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
@@ -648,17 +679,64 @@ def mha(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
     def bw(g):
         gh = g.reshape(n_q, heads, -1).transpose(1, 0, 2)
         dl_type = np.result_type(g, vh, attn)
-        dq = np.empty((n_q, heads, qh.shape[-1]), np.result_type(dl_type, kh))
-        # dk stays [heads, d_head, n_k]: in k's layout each head would be
-        # column-major, and numpy would compute it as the transposed product
-        dk = np.empty((heads, kh.shape[-1], n_k), np.result_type(qh, dl_type))
-        dv = np.empty((n_k, heads, vh.shape[-1]), np.result_type(attn, g))
+        # only for the parents that need a gradient
+        dq = dk = dv = None
+        if _needs_grad(q):
+            dq = np.empty((n_q, heads, qh.shape[-1]), np.result_type(dl_type, kh))
+        if _needs_grad(k):
+            # dk stays [heads, d_head, n_k]: in k's layout each head would be
+            # column-major, and numpy would compute it as the transposed product
+            dk = np.empty((heads, kh.shape[-1], n_k), np.result_type(qh, dl_type))
+        if _needs_grad(v):
+            dv = np.empty((n_k, heads, vh.shape[-1]), np.result_type(attn, g))
+        heads_view = lambda x: None if x is None else x.transpose(1, 0, 2)
         _over_heads(_attend_heads_backward, heads, size, gh, qh, kh, vh, attn,
-                    scale, dq.transpose(1, 0, 2), dk, dv.transpose(1, 0, 2))
-        return (dq.reshape(q.shape), dk.transpose(2, 0, 1).reshape(k.shape),
-                dv.reshape(v.shape))
+                    scale, heads_view(dq), dk, heads_view(dv))
+        return (None if dq is None else dq.reshape(q.shape),
+                None if dk is None else dk.transpose(2, 0, 1).reshape(k.shape),
+                None if dv is None else dv.reshape(v.shape))
 
     return _node(out.reshape(n_q, -1), (q, k, v), bw, "mha")
+
+
+def one_key(k: Tensor, v: Tensor, n_q: int, heads: int,
+            weights_out: dict | None = None) -> Tensor:
+    """`mha` of `n_q` queries over the single key k: [1, d_k], v: [1, d_v],
+    as one tape node whose parents are (k, v) alone.
+
+    Every weight is exactly 1, whatever the queries, so each output row
+    is `0.0 + v`, bit-equal to `mha`'s (-0.0 and subnormal entries
+    included), and the query needs no edge: its gradient in `mha` is
+    exactly +-0. The backward gives k an exact zero and v the per-head
+    `ones^T @ g` product that `mha`'s backward computes. k is checked for
+    non-finite values even inside a boundary, as `mha` checks its logits.
+    """
+    k, v = as_tensor(k), as_tensor(v)
+    if k.ndim != 2 or v.ndim != 2 or k.shape[0] != 1 or v.shape[0] != 1:
+        raise ShapeError(f"one_key needs [1, d] operands, got {k.shape}, {v.shape}")
+    for d in (k.shape[-1], v.shape[-1]):
+        if d % heads != 0:
+            raise ShapeError(f"channel extent {d} not divisible by {heads} heads")
+    _check(k.data, "one_key")
+    w_type = k.dtype
+    out = np.empty((n_q, v.shape[-1]), np.result_type(w_type, v.data))
+    np.add(v.data, 0.0, out=out)
+    if weights_out is not None:
+        weights_out["weights"] = np.ones((heads, n_q, 1), w_type)
+
+    def bw(g):
+        dk = dv = None
+        if _needs_grad(k):
+            dk = np.zeros(k.shape, np.result_type(w_type, g, v.data))
+        if _needs_grad(v):
+            gh = g.reshape(n_q, heads, -1).transpose(1, 0, 2)
+            dv = np.empty((1, heads, gh.shape[-1]), np.result_type(w_type, g))
+            ones = np.ones((heads, n_q, 1), w_type)
+            np.matmul(np.swapaxes(ones, -1, -2), gh, out=dv.transpose(1, 0, 2))
+            dv = dv.reshape(v.shape)
+        return dk, dv
+
+    return _node(out, (k, v), bw, "one_key")
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,8 @@ from layoutedit.pipeline import Pipeline
 from layoutedit.qlt import load_qlt
 from layoutedit.rng import Rng
 from layoutedit.tensor import (Param, Tensor, add, concat, layer_norm, linear,
-                               matmul, mha, mul, params_of, silu, tsum)
+                               matmul, mha, mul, one_key, params_of, silu,
+                               tsum)
 
 from test_metrics import OA_CASES, oracle_ap, random_sets
 
@@ -51,6 +52,8 @@ def _op_cases(r):
     q = P("q", (5, 8))
     k = P("k", (3, 8))
     v = P("v", (3, 8))
+    k1 = P("k1", (1, 8))
+    v1 = P("v1", (1, 8))
     mask = np.array([True, False, True])
     builders = [
         ("add", x, lambda: add(x.tensor, y.tensor)),
@@ -64,6 +67,7 @@ def _op_cases(r):
         ("mha", v, lambda: mha(q.tensor, k.tensor, v.tensor, 2)),
         ("mha_masked", q, lambda: mha(q.tensor, k.tensor, v.tensor, 2,
                                       mask=mask)),
+        ("one_key", v1, lambda: one_key(k1.tensor, v1.tensor, 5, 2)),
     ]
     cases = []
     for name, param, build in builders:

@@ -890,6 +890,22 @@ def test_train_any_config_exits_0_or_1_naming_the_file(trained, capsys, data):
         assert str(path) in err or ("max_n" in err and str(root / "data") in err)
 
 
+@pytest.mark.parametrize("size", [8, 32])     # 32: image_size's default value
+def test_train_config_image_size_off_the_scenes_names_both_files(trained, tmp_path,
+                                                                 capsys, size):
+    root, cfg = trained
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**json.loads(Path(cfg).read_text()), "image_size": size}))
+    rc = main(["train", "--config", str(path), "--data-dir", str(root / "data"),
+               "--checkpoint-dir", str(tmp_path / "ckpt"), "--train-steps", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    image = root / "data" / load_layout_json(root / "data" / "scene_000.json")["image"]
+    assert str(path) in err and str(image) in err
+    assert "(3, 16, 16)" in err and f"(3, {size}, {size})" in err
+    assert f"image_size {size}" in err
+
+
 @FUZZ
 @given(data=st.data())
 def test_edit_any_config_exits_0_or_1_naming_the_file(trained, capsys, data):
@@ -901,6 +917,109 @@ def test_edit_any_config_exits_0_or_1_naming_the_file(trained, capsys, data):
                str(root / "ckpt"), "--image", str(root / "data" / "scene_000.ppm"),
                "--layout", str(root / "data" / "scene_000.json"),
                "--prompt", "two circles", "--out", str(root / "fuzz_out")])
+    assert rc in (0, 1)
+    if rc == 1:
+        assert str(path) in capsys.readouterr().err
+
+
+# fuzzed checkpoint manifests for edit: exit 0 or 1, and an exit-1 message
+# names the checkpoint. The manifest's config alone sets the model (no
+# --config), from the small sizes of _INTS or values validate rejects.
+_TENSOR_ENTRY = st.fixed_dictionaries({}, optional={
+    "file": st.one_of(st.sampled_from(["cmam_fc_b.qlt", "den_pos.qlt", "manifest.json",
+                                       "", ".", "..", "../x.qlt", "/etc/passwd",
+                                       "missing.qlt"]), st.text(max_size=4)),
+    "shape": st.one_of(st.lists(st.integers(-1, 64), max_size=3), _JSON_ANY)})
+
+
+@st.composite
+def manifest_texts(draw, base: dict):
+    """Manifest JSON: `base` with config fields, tensor entries or whole
+    sections valid or not (wrong types, other files, paths outside the
+    directory, shapes that lie), or the text cut, or not an object."""
+    doc = json.loads(json.dumps(base))
+    config, tensors = doc["config"], doc["tensors"]
+    for key in draw(st.sets(st.sampled_from(sorted(_CONFIG_VALUES)), max_size=2)):
+        config[key] = draw(st.one_of(_CONFIG_VALUES[key], _JSON_ANY))
+    for name in draw(st.sets(st.sampled_from(sorted(tensors)), max_size=2)):
+        if draw(st.booleans()):
+            del tensors[name]
+        else:
+            tensors[name] = draw(st.one_of(_TENSOR_ENTRY, _JSON_ANY))
+    if draw(st.booleans()):
+        tensors["extra"] = draw(_TENSOR_ENTRY)
+    for key in draw(st.sets(st.sampled_from(["config", "tensors"]), max_size=1)):
+        doc[key] = draw(_JSON_ANY)
+    text = json.dumps(doc)
+    return draw(st.sampled_from([text, text, text, text[:len(text) // 2], "[]"]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(trained, tmp_path_factory):
+    root, _ = trained
+    ckpt = tmp_path_factory.mktemp("fuzz") / "ckpt"
+    shutil.copytree(root / "ckpt", ckpt)
+    return ckpt, json.loads((ckpt / "manifest.json").read_text())
+
+
+@FUZZ
+@given(data=st.data())
+def test_edit_any_manifest_exits_0_or_1_naming_the_checkpoint(trained, fuzz_checkpoint,
+                                                            capsys, data):
+    root, _ = trained
+    ckpt, base = fuzz_checkpoint
+    (ckpt / "manifest.json").write_text(data.draw(manifest_texts(base)))
+    layout = root / "data" / "scene_000.json"
+    capsys.readouterr()
+    rc = main(["edit", "--checkpoint-dir", str(ckpt), "--steps", "2",
+               "--image", str(root / "data" / "scene_000.ppm"), "--layout",
+               str(layout), "--prompt", "two circles", "--out", str(root / "fuzz_out")])
+    assert rc in (0, 1)
+    if rc == 1:
+        # a max_n below the layout's box count names the layout file instead
+        err = capsys.readouterr().err
+        assert str(ckpt) in err or ("max_n" in err and str(layout) in err)
+
+
+# fuzzed detection files for eval: exit 0 or 1, and an exit-1 message
+# names the file
+_DETECTION = st.one_of(st.fixed_dictionaries({"box": _BOX, "score": _NUMBER}),
+                       st.fixed_dictionaries({}, optional={"box": _BOX,
+                                                           "score": _NUMBER}),
+                       _JSON_ANY)
+
+
+@st.composite
+def detection_texts(draw):
+    """Detection JSON: detections and ground truth valid or not (bad
+    boxes and scores, wrong types), a key dropped, the text cut, or lists
+    nested deeper than the parser recurses."""
+    doc = {"image": "a.qlt",
+           "detections": draw(st.one_of(st.lists(_DETECTION, max_size=5), _JSON_ANY)),
+           "ground_truth": draw(st.one_of(st.lists(_BOX, max_size=5), _JSON_ANY))}
+    for key in draw(st.sets(st.sampled_from(sorted(doc)), max_size=1)):
+        del doc[key]
+    text = json.dumps(doc)
+    depth = draw(st.integers(1, 5000))
+    return draw(st.sampled_from([
+        text, text, text[:len(text) // 2], "[]",
+        '{"detections": ' + "[" * depth + "]" * depth + "}"]))
+
+
+@FUZZ
+@given(text=detection_texts())
+def test_eval_any_detection_file_exits_0_or_1_naming_it(tmp_path, capsys, text):
+    gt, pred = tmp_path / "gt", tmp_path / "pred"
+    gt.mkdir(exist_ok=True)
+    pred.mkdir(exist_ok=True)
+    (gt / "a.json").write_text(json.dumps({
+        "image": "a.qlt", "width": 16, "height": 16, "category": "circle",
+        "count": 1, "boxes": [[0.1, 0.1, 0.4, 0.4]]}))
+    path = pred / "a.json"
+    path.write_text(text)
+    capsys.readouterr()
+    rc = main(["eval", "--pred-dir", str(pred), "--gt-dir", str(gt),
+               "--out", str(tmp_path / "report.json")])
     assert rc in (0, 1)
     if rc == 1:
         assert str(path) in capsys.readouterr().err

@@ -12,7 +12,7 @@ from layoutedit.diffusion import (BLOCK_NAMES, DenoiserState, NoiseSchedule,
                                   latent_to_image, sample, timestep_embedding,
                                   training_step)
 from layoutedit.rng import Rng
-from layoutedit.tensor import NumericsError, Tensor, mha, params_of
+from layoutedit.tensor import NumericsError, Tensor, mha, one_key, params_of
 
 
 def small_config(**kw):
@@ -252,6 +252,49 @@ class TestTrainingStep:
         training_step(st, batch, random_bundle(st), Rng(7))
         assert np.abs(by_name["w_vf"].tensor.grad).sum() > 0
 
+    def test_no_gradient_for_a_frozen_leaf_and_no_query_on_the_tape(self, monkeypatch):
+        # At train time the prompt is the one empty token and the adapter
+        # token is one row, so every cross attention is a `one_key` and no
+        # block projects a query; backward computes a gradient only for a
+        # parent that needs one.
+        st = small_state()
+        st.config.dropout_rate = 0.0
+        trainable = st.set_trainable()
+        r = Rng(3)
+        bundle = ConditionBundle(f_t=Tensor(r.spawn("ft").normal((1, st.config.d_t))),
+                                 f=Tensor(r.spawn("f").normal((1, st.config.d_i))),
+                                 lam=st.config.lam)
+        queries = {id(blk.cross.w_q.tensor) for blk in st.blocks.values()}
+        frozen, parents = [], set()
+
+        def spy(node, bw):
+            def spied(g):
+                grads = bw(g)
+                frozen.extend(p for p, pg in zip(node._parents, grads)
+                              if pg is not None and not (p.requires_grad or p._parents))
+                return grads
+            return spied
+
+        backward = Tensor.backward
+
+        def spied_backward(self, grad=None):
+            stack, seen = [self], set()
+            while stack:
+                t = stack.pop()
+                if id(t) in seen or t._backward is None:
+                    continue
+                seen.add(id(t))
+                parents.update(id(p) for p in t._parents)
+                t._backward = spy(t, t._backward)
+                stack.extend(t._parents)
+            return backward(self, grad)
+
+        monkeypatch.setattr(Tensor, "backward", spied_backward)
+        training_step(st, self.make_batch(st, 1), bundle, Rng(7))
+        assert parents and not queries & parents
+        assert frozen == []
+        assert all(p.tensor.grad is not None for p in trainable)
+
     def test_tape_is_freed_without_the_cyclic_gc(self):
         st = small_state()
         st.set_trainable()
@@ -304,17 +347,19 @@ def adapter_state(position, lam, dtype, ip_scale=0.7):
                                f=Tensor(b.f.data.astype(dtype)), lam=lam)
 
 
-def count_mha_calls(monkeypatch, fn):
-    """Calls of `mha` through every layoutedit module that binds it, while
-    fn() runs."""
+def count_attention_calls(monkeypatch, fn):
+    """Attention evaluations, calls of `mha` or `one_key` through every
+    layoutedit module that binds them, while fn() runs."""
     calls = []
     for mod in list(sys.modules.values()):
-        if (getattr(mod, "__name__", "").startswith("layoutedit.")
-                and getattr(mod, "mha", None) is mha):
-            def counted(*args, _mha=mod.mha, **kwargs):
-                calls.append(1)
-                return _mha(*args, **kwargs)
-            monkeypatch.setattr(mod, "mha", counted)
+        if not getattr(mod, "__name__", "").startswith("layoutedit."):
+            continue
+        for name, op in (("mha", mha), ("one_key", one_key)):
+            if getattr(mod, name, None) is op:
+                def counted(*args, _op=op, **kwargs):
+                    calls.append(1)
+                    return _op(*args, **kwargs)
+                monkeypatch.setattr(mod, name, counted)
     fn()
     monkeypatch.undo()
     return len(calls)
@@ -344,15 +389,15 @@ class TestSharedGuidance:
         per_block = [2 + bool(st.blocks[name].cross.ip_params())
                      for name in BLOCK_NAMES]
         per_pass = sum(per_block)
-        assert count_mha_calls(monkeypatch, lambda: st.forward(x, 100, b)) == per_pass
+        assert count_attention_calls(monkeypatch, lambda: st.forward(x, 100, b)) == per_pass
         active = [i for i, name in enumerate(BLOCK_NAMES)
                   if lam * st.site_scales.get(name, 0.0) > 0]
         # blocks before the split whole, then the split block's self attention
         shared = per_pass if not active else sum(per_block[:active[0]]) + 1
         per_step = 2 * per_pass - shared
-        assert count_mha_calls(monkeypatch, lambda: guided_eps(st, x, 100, b, 5.0)) \
+        assert count_attention_calls(monkeypatch, lambda: guided_eps(st, x, 100, b, 5.0)) \
             == per_step
-        assert count_mha_calls(monkeypatch, lambda: sample(st, b, 5.0, 2, Rng(0))) \
+        assert count_attention_calls(monkeypatch, lambda: sample(st, b, 5.0, 2, Rng(0))) \
             == 2 * per_step
         if (position, lam) == ("down4", 0.8):
             assert (per_pass, per_step) == (19, 31)

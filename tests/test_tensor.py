@@ -17,7 +17,7 @@ from layoutedit.pipeline import Pipeline
 from layoutedit.rng import Rng
 from layoutedit.tensor import (NumericsError, Param, ShapeError, Tensor, add,
                                adamw_step, checked_once, concat, layer_norm,
-                               matmul, mha, mul, params_of)
+                               matmul, mha, mul, one_key, params_of)
 
 
 def softmax(x, mask=True, axis=-1, floor=None):
@@ -296,6 +296,94 @@ def test_row_folds_are_numpys_reductions(dtype, n_k, seed, values):
     expected = a.max(axis=-1, keepdims=True)
     assert top.dtype == expected.dtype and top.shape == expected.shape
     np.testing.assert_array_equal(top, expected)
+
+
+_FMAX_ELEMENTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.sampled_from([0.0, -0.0, -np.inf, 1e-45, -1e-45, 1.0, -1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]), n_k=st.integers(1, 24),
+       rows=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       values=st.lists(_FMAX_ELEMENTS, min_size=1, max_size=16))
+@example(dtype=np.float32, n_k=8, rows=256, seed=0, values=[-0.0, 0.0])
+@example(dtype=np.float64, n_k=1, rows=1, seed=0, values=[-0.0])
+@example(dtype=np.float32, n_k=9, rows=3, seed=0, values=[-np.inf, -0.0])
+def test_unfolded_row_max_is_numpys_up_to_the_sign_of_zero(dtype, n_k, rows, seed,
+                                                           values):
+    """Where `mha` does not fold, its row max (np.fmax's reduction) is
+    np.maximum's on rows of finite values, +-0 and -inf (NaN cannot
+    reach it), up to the sign of a zero, which the shift and exp erase."""
+    a = np.random.default_rng(seed).choice(np.array(values, dtype), size=(2, rows, n_k))
+    if T._folds(a):
+        a = a[:, :1]
+    assert not T._folds(a)
+    top = T._row_reduce(np.maximum, a)
+    expected = np.maximum.reduce(a, axis=-1, keepdims=True)
+    assert top.dtype == expected.dtype and top.shape == expected.shape
+    np.testing.assert_array_equal(top, expected)
+    with np.errstate(invalid="ignore"):     # -inf - -inf in a row of -inf only
+        assert_bit_equal(np.exp(a - top), np.exp(a - expected))
+
+
+class TestOneKey:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_q", [1, 5, 256])
+    @pytest.mark.parametrize("heads", [2, 4, 8])
+    def test_bit_equal_to_mha_over_one_key(self, dtype, n_q, heads):
+        rng = np.random.default_rng(n_q * 10 + heads)
+        d = 32
+        q, k, v = (rng.normal(size=s).astype(dtype) for s in ((n_q, d), (1, d), (1, d)))
+        tiny = np.finfo(dtype).smallest_subnormal
+        v[0, :4] = [-0.0, 0.0, 3 * tiny, -tiny]
+        r = rng.normal(size=(n_q, d)).astype(dtype)
+        r[0, :] = -0.0
+        results = []
+        for fused in (True, False):
+            kt, vt = Tensor(k, requires_grad=True), Tensor(v, requires_grad=True)
+            cap = {}
+            if fused:
+                out = one_key(kt, vt, n_q, heads, weights_out=cap)
+            else:
+                out = mha(Tensor(q), kt, vt, heads, weights_out=cap)
+            (out * Tensor(r)).sum().backward()
+            results.append((out.data, cap["weights"], kt.grad, vt.grad))
+        for got, want in zip(*results):
+            assert_bit_equal(got, want)
+        assert np.signbit(v[0, 0]) and not np.signbit(results[0][0][:, 0]).any()
+        assert _subnormal(results[0][0][:, 2:4]).all()
+
+    def test_one_node_with_kv_parents_and_no_query(self, np_rng):
+        k, v = (Tensor(np_rng.normal(size=(1, 4)), requires_grad=True) for _ in range(2))
+        out = one_key(k, v, 3, heads=2)
+        assert out.shape == (3, 4)
+        assert len(out._parents) == 2 and out._parents[0] is k and out._parents[1] is v
+        out.sum().backward()
+        assert_bit_equal(k.grad, np.zeros((1, 4)))
+
+    def test_gradient_only_for_the_parents_that_need_one(self, np_rng):
+        k = Tensor(np_rng.normal(size=(1, 4)))
+        v = Tensor(np_rng.normal(size=(1, 4)), requires_grad=True)
+        out = one_key(k, v, 3, heads=2)
+        dk, dv = out._backward(np.ones((3, 4)))
+        assert dk is None and dv.shape == (1, 4)
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError, match="one_key needs"):
+            one_key(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))), 3, heads=2)
+        with pytest.raises(ShapeError, match="divisible"):
+            one_key(Tensor(np.zeros((1, 6))), Tensor(np.zeros((1, 6))), 3, heads=4)
+
+    def test_non_finite_key_fails_inside_a_boundary(self):
+        # the output does not read k, so a NaN there would pass unseen
+        k = Tensor(np.array([[np.nan, 1.0]]))
+        probe = _boundary(lambda: one_key(mul(k, 2.0), Tensor(np.ones((1, 2))), 3, 1))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericsError, match="produced by mul$"):
+            probe()
+        with pytest.raises(NumericsError, match="produced by one_key$"):
+            one_key(k, Tensor(np.ones((1, 2))), 3, heads=1)
 
 
 class TestMhaNonFinite:
