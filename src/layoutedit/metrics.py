@@ -124,10 +124,14 @@ def load_detection_json(path) -> DetectionSet:
         score = d.get("score")
         if isinstance(score, bool) or not isinstance(score, (int, float)):
             raise LayoutError(f"{where}: 'score' must be a number, got {score!r}")
+        try:
+            score = float(score)  # an int past the float range overflows
+        except OverflowError:
+            score = float("inf")
         if not np.isfinite(score):
             raise LayoutError(f"{where}: score {score} is not finite")
         detections.append(Detection(box=parse_box(d.get("box"), f"{where}: box"),
-                                    score=float(score)))
+                                    score=score))
     return DetectionSet(detections=detections, ground_truth=[
         parse_box(b, f"{path}: ground_truth[{i}]")
         for i, b in enumerate(doc.get("ground_truth", []))])

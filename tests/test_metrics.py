@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layoutedit.layout import Box4
+from layoutedit.layout import Box4, LayoutError
 from layoutedit.metrics import (Detection, DetectionSet, average_precision,
                                 iou, load_detection_json, match,
                                 object_accuracy, report)
@@ -260,3 +261,17 @@ def test_detection_json_roundtrip(tmp_path):
     assert back.detections[0].box == s.detections[0].box
     assert back.detections[0].score == 0.75
     assert back.ground_truth == s.ground_truth
+
+
+def test_detection_json_integer_scores_past_float_range(tmp_path):
+    """An integer score is read as a float: 2**64 fits, 10**400 does not
+    and is refused as not finite, naming the file."""
+    path = tmp_path / "d.json"
+    for score, ok in ((2 ** 64, True), (10 ** 400, False)):
+        path.write_text(json.dumps({"detections": [
+            {"box": [0.1, 0.1, 0.4, 0.5], "score": score}]}))
+        if ok:
+            assert load_detection_json(path).detections[0].score == float(score)
+        else:
+            with pytest.raises(LayoutError, match=re.escape(str(path)) + ".*not finite"):
+                load_detection_json(path)
