@@ -43,7 +43,6 @@ CONFIG_FLAGS = {
     "--max-n": dict(type=int),
     "--injection": dict(choices=INJECTION_SITES),
     "--ip-scale": dict(type=float),
-    "--dtype": dict(choices=["float32", "float64"]),
     "--data-dir": {},
     "--checkpoint-dir": {},
 }
@@ -104,6 +103,9 @@ def _checkpoint_config(cfg: RunConfig, config_file) -> RunConfig:
         stored = RunConfig.from_dict(stored).validate()
     except ConfigError as e:
         raise ConfigError(f"{mpath}: config: {e}") from None
+    if stored.dtype != "float32":     # save_qlt writes every array as <f4
+        raise ConfigError(f"{mpath}: config: dtype is {stored.dtype!r}, but a "
+                          f"checkpoint stores float32", "dtype")
     for name in MODEL_FIELDS:
         mine, theirs = getattr(cfg, name), getattr(stored, name)
         if config_file and mine != theirs:
@@ -162,6 +164,9 @@ def cmd_train(args) -> int:
     from .pipeline import Pipeline
 
     cfg = build_config(args)
+    if cfg.dtype != "float32":   # its checkpoint would load as another model
+        raise _blame_config(args, ConfigError(
+            f"dtype is {cfg.dtype!r}, but a checkpoint stores float32", "dtype"))
     pipe = Pipeline(cfg)
     if args.ip_checkpoint:
         pipe.load_ip_weights(args.ip_checkpoint)
@@ -335,7 +340,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("train", help="train the adapter branch")
     _add_config_flags(p, "--config --seed --lam --train-steps --lr --dropout-rate "
-                      "--heads --max-n --injection --ip-scale --dtype "
+                      "--heads --max-n --injection --ip-scale "
                       "--data-dir --checkpoint-dir")
     p.add_argument("--ip-checkpoint", help="prior checkpoint for adapter init")
     p.set_defaults(func=cmd_train)

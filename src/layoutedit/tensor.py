@@ -21,8 +21,9 @@ weight is 1, so it reads no query, and its parents are the key and the
 value alone. Bit-equal to `mha` over one key, it keeps the query
 projection off the tape wherever the keys are one row, as in training.
 
-A large `mha` call runs half its heads on one worker thread, when the
-process may use two CPUs (`_over_heads`); its results are bit-identical.
+A large `mha` call hands half its heads to one worker thread through a
+job queue, when the process may use two CPUs (`_over_heads`); its
+results are bit-identical.
 A call with fewer than 8 keys and at least 256 rows (heads * queries),
 such as the denoiser's cross attention over a prompt, takes its softmax
 row max and row sums one key column at a time (`_folds`): numpy's
@@ -34,10 +35,9 @@ are bit-identical: below 8 terms numpy sums left to right from +0.0 too.
 n_k: the key count) gets weight exactly 0. Every weight it keeps is then
 at least e * tiny, so no weight is subnormal, and no op pays the CPU's
 slow path for subnormal operands. The rule is per element, so a result
-never depends on which path computed it. Two gates only save time: a
-call whose logit bound rules out such a logit skips the flush, and so
-does a head group whose shifted logits are all above the floor; both
-then run the plain softmax ops.
+never depends on which path computed it. One gate only saves time: a
+head group whose shifted logits are all above the floor skips the flush
+and runs the plain softmax ops.
 """
 from __future__ import annotations
 
@@ -402,8 +402,8 @@ def linear(x, w, b=None) -> Tensor:
 
 # ----------------------------------------------------------------------
 # head groups on two threads
-# heads * n_q * n_k from which an mha call splits; below it the hand-over
-# to the worker costs about what the second CPU saves
+# heads * n_q * n_k from which an mha call splits; below it handing a head
+# group to the worker costs about what the second CPU saves
 SPLIT_MIN = 1 << 16
 
 
@@ -415,46 +415,31 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-class _HeadWorker:
-    """A daemon thread that runs one head group of an `mha` call while
-    the calling thread runs the other. numpy releases the GIL inside
-    matmul and ufunc loops, so the two groups run at the same time."""
-
-    def __init__(self):
-        self.busy = threading.Lock()    # held by the thread using the worker
-        self._go, self._done = threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-        self._job = self._error = None
-        threading.Thread(target=self._loop, name="mha-heads", daemon=True).start()
-
-    def _loop(self):
-        while True:
-            self._go.acquire()
-            try:    # in a frame of its own, so the loop keeps no arrays
-                _call_under(*self._job)
-            except BaseException as e:      # re-raised on the calling thread
-                self._error = e
-            self._job = None
-            self._done.release()
-
-    def start(self, fn, heads, args):
-        self._job = (np.geterr(), fn, heads, args)
-        self._go.release()
-
-    def wait(self):
-        """Block until the group finishes; return its exception, if any."""
-        self._done.acquire()
-        error, self._error = self._error, None
-        return error
+def _serve(jobs):
+    """The head worker's loop: run each head group put on `jobs` under
+    its caller's numpy error state, and put None or the exception on the
+    job's reply queue. numpy releases the GIL inside matmul and ufunc
+    loops, so the group runs while the caller runs its own. A group never
+    calls `_over_heads`: a nested call would wait on this queue."""
+    while True:
+        err, fn, heads, args, done = jobs.get()
+        try:
+            with np.errstate(**err):
+                fn(heads, *args)
+        except BaseException as e:      # re-raised on the calling thread
+            done.put(e)
+        else:
+            done.put(None)
+        del args, done      # keep no arrays while waiting for the next job
 
 
-def _call_under(err, fn, heads, args):
-    with np.errstate(**err):
-        fn(heads, *args)
+def _start_worker(jobs):
+    """Start the head worker serving `jobs`; return `jobs`."""
+    threading.Thread(target=_serve, args=(jobs,), name="mha-heads", daemon=True).start()
+    return jobs
 
 
-_worker = None      # started by the first call large enough to split
+_worker = None      # the head worker's job queue, made by the first call that splits
 
 
 def _forget_worker():
@@ -471,26 +456,22 @@ def _over_heads(fn, heads: int, size: int, *args):
     or, when the call has at least two heads, `size` reaches SPLIT_MIN
     and the process may use two CPUs, as two groups, the first on the
     calling thread and the second on the worker. Each head's result is
-    the same either way. The caller always waits for the worker."""
+    the same either way. Callers on several threads queue for the worker,
+    and each waits for its own group's reply."""
     global _worker
     if heads < 2 or size < SPLIT_MIN or _cpu_count() < 2:
         fn(slice(None), *args)
         return
+    import queue    # not at import time: a process that never splits skips its cost
     if _worker is None:
-        _worker = _HeadWorker()
-    worker = _worker
-    if not worker.busy.acquire(blocking=False):     # another thread has it
-        fn(slice(None), *args)
-        return
+        _worker = _start_worker(queue.SimpleQueue())
     cut = heads // 2
-    worker.start(fn, slice(cut, None), args)
+    done = queue.SimpleQueue()
+    _worker.put((np.geterr(), fn, slice(cut, None), args, done))
     try:
         fn(slice(0, cut), *args)
-    finally:
-        # A signal that interrupts the wait skips the release: the worker
-        # may still be writing this call's buffers, so later calls run whole.
-        error = worker.wait()
-        worker.busy.release()
+    finally:    # on an error too: the worker writes into this call's buffers
+        error = done.get()
     if error is not None:
         raise error
 
@@ -554,8 +535,8 @@ def _row_reduce(ufunc, a):
 
 def _attend_heads(hs, qh, kt, vh, scale, mask, scan, floor, attn, out):
     """Forward of heads `hs`: logits into attn[hs], then softmax in
-    place, then the weighted values into out[hs]. Unless `floor` is None,
-    a shifted logit below it gets weight exactly 0 (see `mha`)."""
+    place, then the weighted values into out[hs]. A shifted logit below
+    `floor` gets weight exactly 0 (see `mha`)."""
     a = np.matmul(qh[hs], kt[hs], out=attn[hs])
     # Checked even inside a boundary: softmax turns a lone -inf logit
     # into a finite zero weight.
@@ -565,11 +546,11 @@ def _attend_heads(hs, qh, kt, vh, scale, mask, scan, floor, attn, out):
     if mask is not None:
         # The smallest logit before the masked keys become -inf, less the
         # largest row max, bounds every shifted logit at an unmasked key.
-        low = a.min() if floor is not None else None
+        low = a.min()
         a += np.where(mask, 0.0, -np.inf)  # added in place: float32 stays float32
     top = _row_reduce(np.maximum, a)
     a -= top
-    if floor is not None and (a.min() if mask is None else low - top.max()) < floor:
+    if (a.min() if mask is None else low - top.max()) < floor:
         _exp_flushed(a, floor)
     else:
         np.exp(a, out=a)
@@ -621,13 +602,11 @@ def mha(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
     `floor = log(tiny) + log(n_k) + 1` after the row max is subtracted
     gets weight exactly 0, where softmax could give a subnormal one
     (tiny is the dtype's smallest normal number). So the result is
-    bit-equal to the chain with each such logit set to -inf. The flush
-    is skipped when `2 * scale * d_head * max|q| * max|k|`, the widest
-    possible row spread, is below -floor with a margin for rounding, and
-    in a head group whose smallest shifted logit is not below the floor
-    (with a mask: the group's smallest logit less its largest row max,
-    which bounds the logits at unmasked keys); neither gate changes a
-    result.
+    bit-equal to the chain with each such logit set to -inf. A head
+    group whose smallest shifted logit is not below the floor (with a
+    mask: the group's smallest logit less its largest row max, which
+    bounds the logits at unmasked keys) skips the flush; that gate never
+    changes a result.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
@@ -658,16 +637,10 @@ def mha(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None,
     # Each logit is at most d_head * max|q| * max|k| in magnitude; below
     # half the dtype's max none can overflow, so the logits scan is
     # skipped (a NaN or inf in q or k fails the comparison).
-    d_head = qh.shape[-1]
     q_max, k_max = (float(np.abs(x.data).max(initial=0.0)) for x in (q, k))
-    bound = d_head * q_max * k_max
+    bound = qh.shape[-1] * q_max * k_max
     scan = not bound < float(info.max) / 2
-    # No shifted logit is below -2 * scale * bound, give or take the
-    # rounding of a d_head-term dot product, the scale and the max
-    # subtraction; when that is above the floor, nothing is flushed.
-    floor = math.log(info.tiny) + math.log(n_k) + 1.0
-    spread = 2.0 * scale * bound * (1.0 + (d_head + 4) * float(info.eps))
-    floor = None if spread < -floor else attn.dtype.type(floor)
+    floor = attn.dtype.type(math.log(info.tiny) + math.log(n_k) + 1.0)
     # heads are written straight into the [n_q, heads, d_v/heads] layout
     out = np.empty((n_q, heads, vh.shape[-1]), np.result_type(attn, vh))
     size = heads * n_q * n_k

@@ -466,6 +466,37 @@ class TestTrainAndEdit:
         err = capsys.readouterr().err
         assert "manifest.json" in err and "lam must be finite, got nan" in err
 
+    @pytest.mark.parametrize("command", ["edit", "dump-attn"])
+    def test_manifest_dtype_float64_names_manifest(self, trained, tmp_path, capsys,
+                                                   command):
+        # the arrays are float32 whatever the config says: the checkpoint
+        # would load as a model other than the one it claims
+        root, _ = trained
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(root / "ckpt", ckpt)
+        mpath = ckpt / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["config"]["dtype"] = "float64"
+        mpath.write_text(json.dumps(manifest))
+        argv = [command, "--checkpoint-dir", str(ckpt),
+                "--image", str(root / "data" / "scene_000.ppm"),
+                "--layout", str(root / "data" / "scene_000.json"),
+                "--out", str(tmp_path / "x")]
+        assert main(argv + (["--site", "down4"] if command == "dump-attn" else [])) == 1
+        err = capsys.readouterr().err
+        assert str(mpath) in err and "dtype is 'float64'" in err
+        assert "stores float32" in err and not (tmp_path / "x").exists()
+
+    def test_train_dtype_float64_names_the_config_before_reading_scenes(
+            self, tmp_path, capsys):
+        cfg = small_config_file(tmp_path, dtype="float64")
+        # no data directory: the refusal comes before any scene is read
+        assert main(["train", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: dtype is 'float64'" in err
+        assert "stores float32" in err
+        assert not (tmp_path / "ckpt").exists()
+
     def test_edit_manifest_outside_directory_names_manifest(self, trained, tmp_path,
                                                            capsys):
         root, cfg = trained

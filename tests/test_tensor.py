@@ -438,9 +438,8 @@ def _subnormal(w):
     return (w != 0) & (np.abs(w) < np.finfo(w.dtype).tiny)
 
 
-class _NoWorker:
-    def __init__(self):
-        raise AssertionError("the head worker was started")
+def _no_worker(jobs):
+    raise AssertionError("the head worker was started")
 
 
 class TestMhaHeadSplit:
@@ -478,7 +477,20 @@ class TestMhaHeadSplit:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(NumericsError, match="produced by mha$") as info:
             mha(Tensor(bad), Tensor(k), Tensor(v), 8)
-        assert "_call_under" in {tb.name for tb in info.traceback}
+        assert "_serve" in {tb.name for tb in info.traceback}
+        assert_bit_equal(mha(Tensor(q), Tensor(k), Tensor(v), 8).data, expected)
+
+    def test_nan_in_the_callers_heads_names_mha_and_the_next_call_works(
+            self, monkeypatch):
+        monkeypatch.setattr(T, "_cpu_count", lambda: 2)
+        q, k, v, _ = _split_case(np.float32, 64)
+        expected = mha(Tensor(q), Tensor(k), Tensor(v), 8).data
+        bad = q.copy()
+        bad[3, 0] = np.nan      # head 0, so the calling thread's group
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericsError, match="produced by mha$") as info:
+            mha(Tensor(bad), Tensor(k), Tensor(v), 8)
+        assert "_serve" not in {tb.name for tb in info.traceback}
         assert_bit_equal(mha(Tensor(q), Tensor(k), Tensor(v), 8).data, expected)
 
     def test_worker_runs_under_the_callers_error_state(self, monkeypatch):
@@ -487,11 +499,11 @@ class TestMhaHeadSplit:
         q[:, -8:] = k[:, -8:] = 1e20    # logits overflow in the last head only
         with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
             mha(Tensor(q), Tensor(k), Tensor(v), 8)
-        assert "_call_under" in {tb.name for tb in info.traceback}
+        assert "_serve" in {tb.name for tb in info.traceback}
 
     def test_condition_sized_calls_stay_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(T, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(T, "_HeadWorker", _NoWorker)
+        monkeypatch.setattr(T, "_start_worker", _no_worker)
         pipe = Pipeline(RunConfig())
         size = pipe.config.image_size
         image = np.random.default_rng(0).uniform(size=(3, size, size))
@@ -502,8 +514,8 @@ class TestMhaHeadSplit:
         assert T._worker is None
 
     def test_concurrent_callers_share_one_worker(self, monkeypatch):
-        # more calling threads than CPUs: the one that holds the worker
-        # splits, the others run whole; every result stays exact
+        # more calling threads than CPUs: callers queue for the worker,
+        # and every result stays exact
         monkeypatch.setattr(T, "_cpu_count", lambda: 2)
         q, k, v, _ = _split_case(np.float32, 64)
         expected = mha(Tensor(q), Tensor(k), Tensor(v), 8).data.tobytes()
@@ -606,9 +618,9 @@ class TestMhaFlush:
         assert _run_mha(arrays, 1, mask, reference_mha)[1][0, 0, 1] > 0
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_the_logit_bound_skips_only_what_it_must(self, dtype):
-        # q = c, k = (c, -c): the row spread 2c^2 is exactly the bound's,
-        # and 5% beyond -floor, so the second key must be flushed
+    def test_a_spread_5_percent_past_the_floor_is_flushed(self, dtype):
+        # q = c, k = (c, -c): the row spread 2c^2 is 5% beyond -floor,
+        # so the second key must be flushed
         floor = float(flush_floor(dtype, 2))
         c = math.sqrt(1.05 * -floor / 2)
         arrays = [np.full((1, 1), c, dtype), np.array([[c], [-c]], dtype),
@@ -652,8 +664,8 @@ class TestMhaFlush:
          masked=False, seed=0)     # a fold over the keys at FOLD_ROWS
 def test_mha_is_the_flushed_oracle_at_any_scale(dtype, n_q, n_k, heads, q_log,
                                                 k_log, masked, seed):
-    """Neither the logit bound nor the group's smallest logit, which
-    decide whether `mha` flushes, ever changes a result."""
+    """The head group's smallest shifted logit, which decides whether
+    `mha` flushes, never changes a result."""
     rng = np.random.default_rng(seed)
     d = 4 * heads
     arrays = [rng.normal(size=(n, d)).astype(dtype) for n in (n_q, n_k, n_k, n_q)]
