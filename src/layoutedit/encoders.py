@@ -7,8 +7,6 @@ whitespace-token vocabulary. Both stay frozen during adapter training.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .attention import AttentionPool, SelfAttention
@@ -24,19 +22,7 @@ DEFAULT_VOCAB = ([EMPTY_TOKEN] + COUNT_WORDS +
 
 
 class VocabError(ValueError):
-    """Raised on unknown token ids or words."""
-
-
-@dataclass
-class ImageEncoding:
-    cls: Tensor          # [d_i]
-    patches: Tensor      # [h*w, d_i]
-    grid: tuple          # (h, w)
-
-
-@dataclass
-class TextEncoding:
-    tokens: Tensor       # [n_t, d_t]
+    """Raised on unknown words or captions over the length limit."""
 
 
 class ImageEncoder:
@@ -58,7 +44,8 @@ class ImageEncoder:
         self.attn = SelfAttention("img.attn", r, d_i, d_i, heads)
         self.pool = AttentionPool("img.pool", r, h * w, d_i, d_i, heads)
 
-    def encode(self, image: Tensor) -> ImageEncoding:
+    def encode(self, image: Tensor) -> tuple:
+        """(cls [d_i], patches [h*w, d_i]) of a [3, H, W] image."""
         c, hh, ww = image.shape
         p = self.patch_size
         if c != 3 or hh % p or ww % p:
@@ -72,8 +59,7 @@ class ImageEncoder:
         x = add(linear(blocks, self.w_patch.tensor, self.b_patch.tensor),
                 self.pos.tensor)
         x = add(x, self.attn(silu(x)))
-        cls = self.pool(x)
-        return ImageEncoding(cls=cls, patches=x, grid=(h, w))
+        return self.pool(x), x
 
 
 class TextEncoder:
@@ -99,16 +85,13 @@ class TextEncoder:
         except KeyError as e:
             raise VocabError(f"unknown word {e.args[0]!r}") from None
 
-    def encode(self, token_ids: list) -> TextEncoding:
-        n = len(token_ids)
+    def encode(self, text: str) -> Tensor:
+        """[n_t, d_t] token embeddings of a caption or prompt."""
+        ids = self.tokenize(text)
+        n = len(ids)
         if n > self.MAX_LEN:
             raise VocabError(f"{n} words exceed the limit of {self.MAX_LEN}")
-        for t in token_ids:
-            if not 0 <= t < len(self.vocab):
-                raise VocabError(f"token id {t} outside vocabulary of {len(self.vocab)}")
-        ids = np.asarray(token_ids, dtype=int)
         onehot = np.zeros((n, len(self.vocab)), dtype=self.emb.data.dtype)
         onehot[np.arange(n), ids] = 1.0
         rows = linear(Tensor(onehot), self.emb.tensor)
-        return TextEncoding(tokens=add(rows, self.pos.tensor[0:n]))
-
+        return add(rows, self.pos.tensor[0:n])

@@ -45,7 +45,7 @@ def ilfm_forward(params: IlfmParams, patches: Tensor, grid: tuple,
     if h * w != patches.shape[0]:
         raise ValueError(f"grid {grid} does not match {patches.shape[0]} patches")
 
-    emb_layout = embedder.embed(layout)                       # [max_n+1, d_l]
+    emb_layout = embedder.embed(layout.coords)                # [max_n+1, d_l]
     emb_grid = embedder.embed(patch_grid(h, w))               # [h*w, d_l]
     p_i = embedder.project_positions(emb_grid)                # [h*w, d_i]
     p_l = embedder.project_positions(emb_layout)              # [max_n+1, d_i]

@@ -1,8 +1,8 @@
 """Bounding-box geometry and the shared layout embedding.
 
 Boxes are normalized (x0, y0, x1, y1) in [0, 1]. A LayoutSet always
-carries the global box (0, 0, 1, 1) in slot 0 and pads unused slots
-with the (0, 0, 0, 0) sentinel, masked out of attention downstream.
+carries the global box (0, 0, 1, 1) in row 0 and pads unused rows with
+zeros, masked out of attention downstream.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from .rng import Rng
 from .tensor import Param, Tensor, linear, matmul
 
 GLOBAL_BOX = (0.0, 0.0, 1.0, 1.0)
-SENTINEL_BOX = (0.0, 0.0, 0.0, 0.0)
 
 
 class LayoutError(ValueError):
@@ -43,52 +42,46 @@ class Box4:
 
 @dataclass
 class LayoutSet:
-    """Padded box collection: slot 0 is the global box, then n real boxes."""
+    """Padded box rows: row 0 is the global box, then n real boxes."""
 
-    boxes: list          # length max_n + 1
-    valid_count: int     # n
-    mask: np.ndarray     # bool per slot, True for slots 0..n
-
-    def coords(self) -> np.ndarray:
-        """[max_n+1, 4] float array in slot order."""
-        return np.array([b.as_tuple() for b in self.boxes], dtype=np.float64)
+    coords: np.ndarray   # [max_n+1, 4] float64, zero rows past the real boxes
+    mask: np.ndarray     # bool per row, True for rows 0..n
 
 
 def build_layout(boxes, max_n: int) -> LayoutSet:
-    """Pack real boxes behind the global box, pad with sentinels."""
-    boxes = [b if isinstance(b, Box4) else Box4(*b) for b in boxes]
+    """Pack real boxes behind the global box, pad with zero rows."""
+    boxes = [(b if isinstance(b, Box4) else Box4(*b)).as_tuple() for b in boxes]
     n = len(boxes)
     if n > max_n:
         raise LayoutError(f"{n} boxes exceed capacity max_n={max_n}")
-    slots = [Box4(*GLOBAL_BOX)] + boxes + [Box4(*SENTINEL_BOX)] * (max_n - n)
+    coords = np.zeros((max_n + 1, 4))
+    coords[0] = GLOBAL_BOX
+    coords[1:n + 1] = np.reshape(boxes, (n, 4))
     mask = np.zeros(max_n + 1, dtype=bool)
     mask[:n + 1] = True
-    return LayoutSet(boxes=slots, valid_count=n, mask=mask)
+    return LayoutSet(coords=coords, mask=mask)
 
 
-def patch_grid(h: int, w: int) -> list:
-    """Row-major grid boxes (u/h, v/w, (u+1)/h, (v+1)/w) tiling [0,1]^2."""
+def patch_grid(h: int, w: int) -> np.ndarray:
+    """[h*w, 4] row-major grid boxes (u/h, v/w, (u+1)/h, (v+1)/w) tiling
+    [0,1]^2."""
     if h < 1 or w < 1:
         raise LayoutError(f"bad grid {h}x{w}")
-    return [Box4(u / h, v / w, (u + 1) / h, (v + 1) / w)
-            for u in range(h) for v in range(w)]
+    u, v = np.indices((h, w)).reshape(2, -1)
+    return np.stack([u / h, v / w, (u + 1) / h, (v + 1) / w], axis=1)
 
 
 class LayoutEmbedder:
     """Shared box embedding W_L (4 x d_L) and positional projection W_P."""
 
     def __init__(self, d_l: int, d_i: int, rng: Rng):
-        # No bias: the sentinel box must embed to the zero vector.
+        # No bias: a zero (padding) row must embed to the zero vector.
         self.w_l = Param("layout.w_l", rng.spawn("layout.w_l").normal((4, d_l), std=0.5))
         self.w_p = Param("layout.w_p",
                          rng.spawn("layout.w_p").normal((d_l, d_i), std=1.0 / np.sqrt(d_l)))
 
-    def embed(self, boxes) -> Tensor:
+    def embed(self, coords: np.ndarray) -> Tensor:
         """Rows of box coordinates times W_L."""
-        if isinstance(boxes, LayoutSet):
-            coords = boxes.coords()
-        else:
-            coords = np.array([b.as_tuple() for b in boxes], dtype=np.float64)
         return matmul(Tensor(coords.astype(self.w_l.data.dtype)), self.w_l.tensor)
 
     def project_positions(self, emb: Tensor) -> Tensor:

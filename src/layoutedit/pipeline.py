@@ -74,15 +74,16 @@ class Pipeline:
         tape only through parameters flagged `requires_grad` (the
         gradient-check harness)."""
         dtype = self.denoiser.w_in.data.dtype
-        enc = self.image_encoder.encode(Tensor(np.asarray(image, dtype=dtype)))
+        cls, patches = self.image_encoder.encode(
+            Tensor(np.asarray(image, dtype=dtype)))
         layout = build_layout(boxes, self.config.max_n)
-        f_layout = ilfm_forward(self.ilfm, enc.patches, enc.grid, layout,
-                                self.embedder)
-        aux = self.text_encoder.encode(self.text_encoder.tokenize(aux_caption))
-        t_aug, i_aug = cmam_forward(self.cmam, aux.tokens, enc.cls)
+        f_layout = ilfm_forward(self.ilfm, patches, self.image_encoder.grid,
+                                layout, self.embedder)
+        aux = self.text_encoder.encode(aux_caption)
+        t_aug, i_aug = cmam_forward(self.cmam, aux, cls)
         f = fuse(self.fuse, i_aug, t_aug, f_layout)
-        f_t = self.text_encoder.encode(self.text_encoder.tokenize(prompt))
-        return ConditionBundle(f_t=f_t.tokens, f=f, lam=self.config.lam)
+        return ConditionBundle(f_t=self.text_encoder.encode(prompt), f=f,
+                               lam=self.config.lam)
 
     # ------------------------------------------------------------------
     def save(self, directory):
@@ -118,7 +119,13 @@ class Pipeline:
         An image that is not (3, image_size, image_size) raises a
         ConfigError about `image_size` that names the image file."""
         data_dir = Path(data_dir)
-        doc, caption = load_layout(data_dir / f"{name}.json", self.config.max_n)
+        scene = data_dir / f"{name}.json"
+        doc, caption = load_layout(scene, self.config.max_n)
+        if "image" not in doc:
+            raise DatasetError(f"{scene}: missing 'image'")
+        if not isinstance(doc["image"], str):
+            raise DatasetError(f"{scene}: 'image' must be a file name, "
+                               f"got {doc['image']!r:.40}")
         path = data_dir / doc["image"]
         image = load_qlt(path)
         size = self.config.image_size

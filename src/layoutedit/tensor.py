@@ -213,7 +213,7 @@ class Tensor:
 
         def bw(g):
             full = np.zeros_like(self.data)
-            full[key] = g
+            np.add.at(full, key, g)     # a repeated index sums its gradients
             return (full,)
 
         return _node(out_data, (self,), bw, "getitem")

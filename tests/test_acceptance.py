@@ -237,7 +237,7 @@ def test_criterion_3_ilfm_invariants():
                                    err_msg=f"permutation, trial {trial}")
 
     for h, w in ((4, 4), (2, 8), (3, 5)):
-        grid = patch_grid(h, w)
+        grid = [Box4(*row) for row in patch_grid(h, w)]
         for idx, b in enumerate(grid):
             u, v = divmod(idx, w)
             assert b.as_tuple() == (u / h, v / w, (u + 1) / h, (v + 1) / w)

@@ -231,6 +231,22 @@ class TestTrainAndEdit:
         assert (f"{scene}: category 'triangle' is not in the vocabulary"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("image,message", [
+        (None, "missing 'image'"),
+        (5, "'image' must be a file name, got 5"),
+    ], ids=["missing", "not-a-string"])
+    def test_train_scene_image_names_the_file(self, tmp_path, capsys, image,
+                                              message):
+        cfg = run_synth(tmp_path)
+        scene = tmp_path / "data" / "scene_001.json"
+        doc = json.loads(scene.read_text())
+        del doc["image"]
+        if image is not None:
+            doc["image"] = image
+        scene.write_text(json.dumps(doc))
+        assert main(["train", "--config", cfg]) == 1
+        assert f"error: {scene}: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name,blob,field", [
         ("short.qlt", b"QLT1", "header"),
         ("short.ppm", b"P6\n16 16\n255\n" + bytes(10), "payload"),

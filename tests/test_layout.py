@@ -14,45 +14,57 @@ from layoutedit.tensor import Tensor
 class TestBuildLayout:
     def test_empty_layout(self):
         ls = build_layout([], max_n=4)
-        assert ls.valid_count == 0
-        assert ls.boxes[0].as_tuple() == (0.0, 0.0, 1.0, 1.0)
-        assert all(b.as_tuple() == (0.0, 0.0, 0.0, 0.0) for b in ls.boxes[1:])
+        assert ls.coords.shape == (5, 4) and ls.coords.dtype == np.float64
+        assert tuple(ls.coords[0]) == (0.0, 0.0, 1.0, 1.0)
+        np.testing.assert_array_equal(ls.coords[1:], 0.0)
         assert list(ls.mask) == [True, False, False, False, False]
 
     def test_full_capacity(self):
-        boxes = [Box4(0, 0, 0.5, 0.5), Box4(0.5, 0.5, 1, 1)]
+        boxes = [Box4(0, 0, 0.5, 0.5), (0.5, 0.5, 1, 1)]
         ls = build_layout(boxes, max_n=2)
-        assert ls.boxes[1:] == boxes
+        assert [tuple(r) for r in ls.coords] == [(0.0, 0.0, 1.0, 1.0),
+                                                 (0.0, 0.0, 0.5, 0.5),
+                                                 (0.5, 0.5, 1.0, 1.0)]
         assert ls.mask.all()
 
     def test_partial_mask(self):
-        ls = build_layout([Box4(0, 0, 0.5, 0.5)], max_n=3)
+        ls = build_layout([Box4(0.1, 0.2, 0.3, 0.4)], max_n=3)
+        assert tuple(ls.coords[1]) == (0.1, 0.2, 0.3, 0.4)
+        np.testing.assert_array_equal(ls.coords[2:], 0.0)
         assert list(ls.mask) == [True, True, False, False]
 
     def test_overflow(self):
         with pytest.raises(LayoutError, match="capacity"):
             build_layout([Box4(0, 0, 1, 1)] * 3, max_n=2)
 
+    def test_invalid_box_is_refused(self):
+        with pytest.raises(LayoutError, match="invalid normalized box"):
+            build_layout([(0.5, 0.5, 0.2, 0.9)], max_n=2)
+
 
 class TestPatchGrid:
     def test_degenerate(self):
-        assert patch_grid(1, 1)[0].as_tuple() == (0.0, 0.0, 1.0, 1.0)
+        assert tuple(patch_grid(1, 1)[0]) == (0.0, 0.0, 1.0, 1.0)
 
     def test_first_cell(self):
-        assert patch_grid(2, 2)[0].as_tuple() == (0.0, 0.0, 0.5, 0.5)
+        assert tuple(patch_grid(2, 2)[0]) == (0.0, 0.0, 0.5, 0.5)
 
     def test_last_cell(self):
-        assert patch_grid(2, 2)[3].as_tuple() == (0.5, 0.5, 1.0, 1.0)
+        assert tuple(patch_grid(2, 2)[3]) == (0.5, 0.5, 1.0, 1.0)
 
     def test_row_major_order(self):
         g = patch_grid(2, 3)
         # second entry advances the second coordinate (column v)
-        assert g[1].as_tuple() == (0.0, 1 / 3, 0.5, 2 / 3)
+        assert tuple(g[1]) == (0.0, 1 / 3, 0.5, 2 / 3)
 
     @pytest.mark.parametrize("h,w", [(1, 1), (2, 2), (3, 5), (4, 4)])
     def test_tiles_unit_square(self, h, w):
-        boxes = patch_grid(h, w)
-        assert len(boxes) == h * w
+        grid = patch_grid(h, w)
+        assert grid.shape == (h * w, 4) and grid.dtype == np.float64
+        for idx, row in enumerate(grid):
+            u, v = divmod(idx, w)
+            assert tuple(row) == (u / h, v / w, (u + 1) / h, (v + 1) / w)
+        boxes = [Box4(*row) for row in grid]
         assert sum(b.area() for b in boxes) == pytest.approx(1.0, abs=1e-12)
         for i, a in enumerate(boxes):
             for b in boxes[i + 1:]:
@@ -66,13 +78,15 @@ class TestEmbedding:
         emb = LayoutEmbedder(4, 8, Rng(0))
         emb.w_l.tensor.data = np.eye(4)
         ls = build_layout([Box4(0.1, 0.2, 0.3, 0.4)], max_n=2)
-        out = emb.embed(ls).data
+        out = emb.embed(ls.coords).data
+        np.testing.assert_array_equal(out, ls.coords)
         np.testing.assert_allclose(out[1], [0.1, 0.2, 0.3, 0.4])
 
     def test_sentinel_embeds_to_zero(self):
+        # padding rows are zeros, and W_L has no bias
         emb = LayoutEmbedder(16, 8, Rng(1))
         ls = build_layout([], max_n=3)
-        out = emb.embed(ls).data
+        out = emb.embed(ls.coords).data
         np.testing.assert_array_equal(out[1:], 0.0)
 
     def test_positions_shape_and_zero(self):
@@ -87,7 +101,7 @@ class TestEmbedding:
         r = Rng(3).normal((3, 5))
 
         def scalar():
-            out = emb.project_positions(emb.embed(ls))
+            out = emb.project_positions(emb.embed(ls.coords))
             return (out * Tensor(r)).sum()
 
         for p in (emb.w_l, emb.w_p):

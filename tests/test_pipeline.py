@@ -63,11 +63,12 @@ def test_default_param_init_is_pinned():
 
 def test_masked_attention_keeps_float32(pipe):
     # ILFM's masked attention feeds its pool and fuse; none may promote
-    enc = pipe.image_encoder.encode(Tensor(Rng(1).uniform((3, 16, 16)).astype(np.float32)))
-    f_layout = ilfm_forward(pipe.ilfm, enc.patches, enc.grid,
+    cls, patches = pipe.image_encoder.encode(
+        Tensor(Rng(1).uniform((3, 16, 16)).astype(np.float32)))
+    f_layout = ilfm_forward(pipe.ilfm, patches, pipe.image_encoder.grid,
                             build_layout(BOXES, pipe.config.max_n), pipe.embedder)
-    aux = pipe.text_encoder.encode(pipe.text_encoder.tokenize("two circles"))
-    t_aug, i_aug = cmam_forward(pipe.cmam, aux.tokens, enc.cls)
+    aux = pipe.text_encoder.encode("two circles")
+    t_aug, i_aug = cmam_forward(pipe.cmam, aux, cls)
     f = fuse(pipe.fuse, i_aug, t_aug, f_layout)
     assert f_layout.dtype == np.float32 and f.dtype == np.float32
 

@@ -701,6 +701,15 @@ class TestBackward:
         ((a + b) + c).sum().backward()
         np.testing.assert_array_equal(x.grad, [1.0])
 
+    def test_getitem_sums_the_gradient_of_a_repeated_index(self):
+        x = Tensor([0.5, -1.0, 2.0], requires_grad=True)
+        x[[0, 0, 2]].sum().backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
+
+        w = np.array([0.3, -0.7, 1.1, 0.2])
+        y = Tensor(Rng(11).normal((3, 2)), requires_grad=True)
+        assert_grad_matches(lambda: (y[[2, 0, 2, 2]] * Tensor(w[:, None])).sum(), y)
+
 
 class TestAdamW:
     def test_zero_grad_no_change(self):
